@@ -3,7 +3,6 @@ package fractal
 import (
 	"context"
 	"fmt"
-	"sync/atomic"
 	"time"
 
 	"fractal/internal/agg"
@@ -93,8 +92,8 @@ func (f *Fractoid) Explore(n int) *Fractoid {
 // for that. Under WithStepRetries, visits are at-least-once: a step attempt
 // abandoned after a worker loss may already have streamed embeddings the
 // retry streams again (side effects cannot be unrun the way aggregation
-// partials are discarded). Use Aggregate — or CountCtx, which switches to an
-// aggregation internally — when exactly-once matters.
+// partials are discarded). Use Aggregate or CountCtx, both exactly-once,
+// when that matters.
 func (f *Fractoid) Visit(fn func(*Subgraph)) *Fractoid {
 	return f.derive(step.VisitP(fn))
 }
@@ -248,40 +247,62 @@ func (f *Fractoid) Subgraphs(visit func(*Subgraph)) (*Result, error) {
 	return f.SubgraphsCtx(context.Background(), visit)
 }
 
-// countAggName is the reserved aggregation CountCtx rides under step
-// retries; the NUL prefix keeps it out of any user namespace.
+// countAggName is the reserved environment name of the count primitive's
+// total; the NUL prefix keeps it out of any user namespace.
 const countAggName = "\x00fractal.count"
 
+// counted appends the runtime's native count primitive.
+func (f *Fractoid) counted() *Fractoid { return f.derive(step.CountP(countAggName)) }
+
+// CountJob exports the fractoid finished by a count, as Job does: the spec
+// form of CountCtx for SpecBuilder.Build. Read the total from the run's
+// environment with CountOf.
+func (f *Fractoid) CountJob() (sched.Job, error) { return f.counted().Job() }
+
+// CountOf returns the total a counted execution (CountCtx, or a CountJob
+// run through Context.RunSpec) left in its environment.
+func CountOf(env *Aggregations) (int64, error) {
+	s, ok := env.Get(countAggName)
+	if !ok {
+		return 0, fmt.Errorf("fractal: environment holds no count")
+	}
+	sums, ok := s.(*agg.Int64Sums)
+	if !ok || len(sums.Sums) != 1 {
+		return 0, fmt.Errorf("fractal: count entry is %T, want a one-slot Int64Sums", s)
+	}
+	return sums.Sums[0], nil
+}
+
 // CountCtx executes the workflow and returns the number of embeddings that
-// reach the end of it. On cancellation the count covers the embeddings
-// processed before the cancellation took effect (a partial count, returned
-// with the error).
+// reach the end of it.
 //
-// The count stays exact under WithStepRetries: with retries enabled it is
-// computed as an aggregation, whose attempt-tagged partials the runtime
-// discards wholesale when a worker loss fails an attempt — a plain visiting
-// counter would keep the failed attempt's increments and double-count. The
-// price is that a failed run reports 0 rather than a partial count.
+// The count is a runtime primitive: every core counts into a local
+// partial that reduces through the aggregation pipeline, so the count is
+// exactly-once — a step retried after a worker loss discards the failed
+// attempt's partials wholesale — and ships over TCP like any aggregation.
+// When nothing but the count follows the last Expand, the cores count the
+// last level's extensions without materializing them as embeddings.
+//
+// On cancellation (or any other failure) the partials are discarded: the
+// returned count is then the cancelled final step's Subgraphs, the
+// embeddings its last attempt completed before the cancellation took
+// effect (a partial count, a lower bound), or 0 when execution stopped
+// before the final step.
 func (f *Fractoid) CountCtx(ctx context.Context) (int64, *Result, error) {
-	if f.err == nil && f.fg.ctx.rt.Config().StepRetries > 0 {
-		nf := Aggregate(f, countAggName,
-			func(*Subgraph) uint8 { return 0 },
-			func(*Subgraph) int64 { return 1 },
-			func(a, b int64) int64 { return a + b }, nil)
-		res, err := nf.run(ctx)
+	nf := f.counted()
+	res, err := nf.run(ctx)
+	if res == nil {
+		return 0, nil, err
+	}
+	if err != nil {
 		var n int64
-		if res != nil && err == nil {
-			if a, aerr := agg.Typed[uint8, int64](res.Aggregations, countAggName); aerr == nil {
-				for _, v := range a.Entries() {
-					n = v
-				}
-			}
+		if k := len(res.Steps); k > 0 && res.Steps[k-1].Workflow == nf.Workflow() {
+			n = res.Steps[k-1].Subgraphs
 		}
 		return n, res, err
 	}
-	var n atomic.Int64
-	res, err := f.Visit(func(*Subgraph) { n.Add(1) }).run(ctx)
-	return n.Load(), res, err
+	n, err := CountOf(res.Aggregations)
+	return n, res, err
 }
 
 // Count is CountCtx with context.Background(). Prefer CountCtx.

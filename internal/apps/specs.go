@@ -50,32 +50,6 @@ func specInt(spec fractal.JobSpec, key string) (int, error) {
 	return n, nil
 }
 
-// countJob finishes a fractoid as a counting job: an explicit aggregation
-// named "count" with a fixed string key, reduced by addition. CountCtx's
-// internal counter cannot be used here — the count must be a declared
-// aggregation so its partials ride the step protocol (attempt-tagged and
-// discarded on retry, exactly-once) and the string→int64 shape travels on
-// the binary wire codec.
-func countJob(f *fractal.Fractoid) (sched.Job, error) {
-	return fractal.Aggregate(f, "count",
-		func(*fractal.Subgraph) string { return "" },
-		func(*fractal.Subgraph) int64 { return 1 },
-		func(a, b int64) int64 { return a + b }, nil).Job()
-}
-
-// specCount reads the "count" aggregation a countJob computed.
-func specCount(env *fractal.Aggregations) (int64, error) {
-	a, err := agg.Typed[string, int64](env, "count")
-	if err != nil {
-		return 0, err
-	}
-	var n int64
-	for _, v := range a.Entries() {
-		n += v
-	}
-	return n, nil
-}
-
 // cliquesBuilder materializes the k-clique counting kernel (Listing 2 of the
 // paper, compiled-plan engine). Args: "k".
 type cliquesBuilder struct{}
@@ -96,7 +70,7 @@ func (cliquesBuilder) Build(spec fractal.JobSpec, g *graph.Graph, _ *agg.Registr
 	if err != nil {
 		return sched.Job{}, err
 	}
-	return countJob(fractal.NewBuildGraph(g).PFractoidPlan(plan).Expand(k))
+	return fractal.NewBuildGraph(g).PFractoidPlan(plan).Expand(k).CountJob()
 }
 
 // CliquesDist counts k-cliques of the graph at graphPath through the spec
@@ -108,7 +82,7 @@ func CliquesDist(ctx context.Context, fc *fractal.Context, graphPath string, k i
 	if err != nil {
 		return 0, specResult(res), err
 	}
-	n, err := specCount(res.Env)
+	n, err := fractal.CountOf(res.Env)
 	return n, specResult(res), err
 }
 

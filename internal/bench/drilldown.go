@@ -327,8 +327,9 @@ func Sec43(o Options) error {
 	return tw.Flush()
 }
 
-// Sec6 measures the work-stealing overhead (steal time / busy time) across
-// kernels, and the cliques case where graph reduction does not pay off.
+// Sec6 measures the work-stealing overhead (steal operations per core work
+// unit, StepReport.StealOverhead) across kernels, and the cliques case where
+// graph reduction does not pay off.
 func Sec6(o Options) error {
 	ctx, err := newCtx(2, 4, fractal.Config{WS: fractal.WSBoth})
 	if err != nil {

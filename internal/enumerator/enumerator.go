@@ -21,6 +21,7 @@ import (
 	"fmt"
 	"math"
 	"sync"
+	"time"
 
 	"fractal/internal/subgraph"
 )
@@ -29,8 +30,8 @@ import (
 type Word = subgraph.Word
 
 // Enumerator holds one enumeration prefix and its remaining extensions.
-// Take and StealOne may be called concurrently; everything else is owned by
-// the constructing core.
+// Take and a thief's Stack.Steal may run concurrently; everything else is
+// owned by the constructing core.
 type Enumerator struct {
 	mu     sync.Mutex
 	prefix []Word
@@ -139,24 +140,18 @@ func (e *Enumerator) stateWords() int {
 	return len(e.prefix) + e.remainingLocked()
 }
 
-// StealOne consumes one extension on behalf of a thief and returns the full
-// stolen prefix (this enumerator's prefix plus the taken word) as a fresh
-// slice the thief may keep. This is the extend() of Figure 7 applied by a
-// non-owner: the subgraph prefix is copied and the extension consumption is
-// the short critical section shared with the owner. The copy happens inside
-// that critical section so a concurrent Pop cannot recycle the prefix out
-// from under the thief.
-func (e *Enumerator) StealOne() (stolen []Word, ok bool) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
+// stealLocked consumes one extension on behalf of a thief and appends the
+// full stolen prefix (this enumerator's prefix plus the taken word) to
+// dst[:0]. This is the extend() of Figure 7 applied by a non-owner: the
+// subgraph prefix is copied and the extension consumption is the short
+// critical section shared with the owner. The caller holds e.mu, so a
+// concurrent Pop cannot recycle the prefix out from under the thief.
+func (e *Enumerator) stealLocked(dst []Word) (stolen []Word, ok bool) {
 	w, ok := e.takeLocked()
 	if !ok {
 		return nil, false
 	}
-	stolen = make([]Word, len(e.prefix)+1)
-	copy(stolen, e.prefix)
-	stolen[len(e.prefix)] = w
-	return stolen, true
+	return append(append(dst[:0], e.prefix...), w), true
 }
 
 // retire marks the enumerator dead and detaches its slices for reuse.
@@ -170,7 +165,7 @@ func (e *Enumerator) retire() (prefix, exts []Word) {
 }
 
 // revive prepares a pooled enumerator for a new level. The reset happens
-// under mu because a stale thief may race a StealOne against it.
+// under mu because a stale thief may race a Steal against it.
 func (e *Enumerator) revive(prefix, exts []Word) {
 	e.mu.Lock()
 	e.dead = false
@@ -266,10 +261,11 @@ func (s *Stack) Pop() {
 	s.mu.Unlock()
 }
 
-// Top returns the top level, or nil when empty.
+// Top returns the top level, or nil when empty. Owner-only: the owner is
+// the sole writer of the level list, so its own read needs no lock (thieves
+// only read the list, under mu), and the DFS loop's per-iteration Top costs
+// no lock round trip.
 func (s *Stack) Top() *Enumerator {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	if len(s.levels) == 0 {
 		return nil
 	}
@@ -311,29 +307,65 @@ func (s *Stack) Abandon() int64 {
 	return n
 }
 
-// StealShallowest scans levels bottom-up and steals one extension from the
-// first enumerator that still has work, returning the stolen prefix.
-func (s *Stack) StealShallowest() (stolen []Word, ok bool) {
-	s.mu.Lock()
-	snapshot := append([]*Enumerator(nil), s.levels...)
-	s.mu.Unlock()
-	for _, e := range snapshot {
-		if st, ok := e.StealOne(); ok {
-			return st, true
+// StealCost is the cost of one steal attempt on a stack.
+type StealCost struct {
+	// Locks counts the lock acquisitions attempted: the stack's plus one
+	// per level probed.
+	Locks int
+	// Held is the wall time spent holding the victim's locks, excluding
+	// the unlocks: releasing a mutex a starved owner waits on hands the
+	// caller's time slice to the owner, and that wait is not steal work.
+	Held time.Duration
+}
+
+// Steal scans levels bottom-up and steals one extension from the first
+// enumerator that still has work, appending the stolen prefix to dst[:0]
+// and reporting the attempt's cost. With wait true it waits for locks held
+// by the owner. With wait false the thief never blocks on the victim: a stack or level whose mutex is held is skipped, so a failed
+// attempt may miss work the owner is touching at that instant and the
+// thief simply retries later. Execution cores steal that way — blocking
+// would park a thief behind the owner, and on an oversubscribed host the
+// park can last a scheduler time slice — and into a reused dst, so the
+// attempt does not allocate either.
+func (s *Stack) Steal(dst []Word, wait bool) (stolen []Word, cost StealCost, ok bool) {
+	lock := func(mu *sync.Mutex) bool {
+		cost.Locks++
+		if wait {
+			mu.Lock()
+			return true
 		}
+		return mu.TryLock()
 	}
-	return nil, false
+	if !lock(&s.mu) {
+		return nil, cost, false
+	}
+	start := time.Now()
+	for _, e := range s.levels {
+		if !lock(&e.mu) {
+			continue
+		}
+		stolen, ok = e.stealLocked(dst)
+		cost.Held += time.Since(start)
+		e.mu.Unlock()
+		if ok {
+			s.mu.Unlock()
+			return stolen, cost, true
+		}
+		start = time.Now()
+	}
+	cost.Held += time.Since(start)
+	s.mu.Unlock()
+	return nil, cost, false
 }
 
 // StateBytes estimates the live memory of the stack: 4 bytes per prefix
 // word and per unconsumed extension across all levels. This is Fractal's
-// entire per-core intermediate state (Section 4.1, Table 2).
+// entire per-core intermediate state (Section 4.1, Table 2). Owner-only,
+// like Top: the owner reads its own level list without the stack lock
+// (and without copying it), locking each level only to read its cursor.
 func (s *Stack) StateBytes() int64 {
-	s.mu.Lock()
-	snapshot := append([]*Enumerator(nil), s.levels...)
-	s.mu.Unlock()
 	var total int64
-	for _, e := range snapshot {
+	for _, e := range s.levels {
 		total += int64(4 * e.stateWords())
 	}
 	return total

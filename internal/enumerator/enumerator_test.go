@@ -78,17 +78,19 @@ func TestRootRemaining(t *testing.T) {
 }
 
 func TestStealOne(t *testing.T) {
+	var s Stack
 	e := New([]Word{4}, []Word{8, 9})
-	st, ok := e.StealOne()
+	s.Push(e)
+	st, _, ok := s.Steal(nil, true)
 	if !ok || len(st) != 2 || st[0] != 4 || st[1] != 8 {
-		t.Fatalf("StealOne=%v,%v", st, ok)
+		t.Fatalf("Steal=%v,%v", st, ok)
 	}
 	// Owner sees the remaining extension only.
 	w, ok := e.Take()
 	if !ok || w != 9 {
 		t.Fatalf("owner Take=%v,%v, want 9", w, ok)
 	}
-	if _, ok := e.StealOne(); ok {
+	if _, _, ok := s.Steal(nil, true); ok {
 		t.Error("steal from exhausted enumerator succeeded")
 	}
 }
@@ -156,29 +158,29 @@ func TestStackStealShallowest(t *testing.T) {
 	s.Push(New(nil, []Word{10, 11}))        // level 0
 	s.Push(New([]Word{10}, []Word{20}))     // level 1
 	s.Push(New([]Word{10, 20}, []Word{30})) // level 2
-	st, ok := s.StealShallowest()
+	st, _, ok := s.Steal(nil, true)
 	if !ok || len(st) != 1 || st[0] != 10 {
 		t.Fatalf("first steal=%v, want [10] from level 0", st)
 	}
-	st, ok = s.StealShallowest()
+	st, _, ok = s.Steal(nil, true)
 	if !ok || len(st) != 1 || st[0] != 11 {
 		t.Fatalf("second steal=%v, want [11]", st)
 	}
 	// Level 0 drained; next steal comes from level 1.
-	st, ok = s.StealShallowest()
+	st, _, ok = s.Steal(nil, true)
 	if !ok || len(st) != 2 || st[1] != 20 {
 		t.Fatalf("third steal=%v, want [10 20]", st)
 	}
 	if !s.HasWork() {
 		t.Error("level 2 still has work")
 	}
-	if _, ok := s.StealShallowest(); !ok {
+	if _, _, ok := s.Steal(nil, true); !ok {
 		t.Error("level 2 steal failed")
 	}
 	if s.HasWork() {
 		t.Error("drained stack reports work")
 	}
-	if _, ok := s.StealShallowest(); ok {
+	if _, _, ok := s.Steal(nil, true); ok {
 		t.Error("steal from drained stack succeeded")
 	}
 }
@@ -217,7 +219,7 @@ func TestConcurrentStealAndTakeDisjoint(t *testing.T) {
 		go func() { // thieves
 			defer wg.Done()
 			for {
-				st, ok := s.StealShallowest()
+				st, _, ok := s.Steal(nil, true)
 				if !ok {
 					return
 				}
@@ -257,7 +259,7 @@ func TestStackAbandon(t *testing.T) {
 	if s.Depth() != 0 {
 		t.Errorf("stack not empty after Abandon: depth=%d", s.Depth())
 	}
-	if _, ok := s.StealShallowest(); ok {
+	if _, _, ok := s.Steal(nil, true); ok {
 		t.Error("steal succeeded on abandoned stack")
 	}
 	if got := s.Abandon(); got != 0 {

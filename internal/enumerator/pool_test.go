@@ -2,6 +2,7 @@ package enumerator
 
 import (
 	"math"
+	"runtime"
 	"sync"
 	"testing"
 )
@@ -63,8 +64,8 @@ func TestPopRetiresLevelForStaleHolders(t *testing.T) {
 	if _, ok := e.Take(); ok {
 		t.Fatal("Take succeeded on a retired level")
 	}
-	if _, ok := e.StealOne(); ok {
-		t.Fatal("StealOne succeeded on a retired level")
+	if _, _, ok := s.Steal(nil, true); ok {
+		t.Fatal("Steal reached a retired level")
 	}
 	if n := e.Remaining(); n != 0 {
 		t.Fatalf("Remaining = %d on a retired level, want 0", n)
@@ -135,10 +136,32 @@ func TestPoolCaps(t *testing.T) {
 }
 
 // Concurrent churn: one owner running the push/take/pop DFS loop while
-// thieves hammer StealShallowest. Every word must be consumed exactly once
+// thieves hammer a waiting Steal. Every word must be consumed exactly once
 // across owner and thieves — recycling must never surface a stale extension.
 // Run with -race to check the locking discipline.
 func TestConcurrentStealChurn(t *testing.T) {
+	stealChurn(t, func(s *Stack, _ []Word) ([]Word, bool) {
+		stolen, _, ok := s.Steal(nil, true)
+		return stolen, ok
+	})
+}
+
+// The same churn with the execution cores' discipline: thieves that never
+// wait on a victim lock and steal into a reused buffer, while the owner
+// also reads its level list unlocked (Top, StateBytes). A thief yields
+// after a miss, as a core naps between failed attempts: thieves spinning
+// without pause would starve the owner of CPU instead of testing it.
+func TestConcurrentNonBlockingStealChurn(t *testing.T) {
+	stealChurn(t, func(s *Stack, buf []Word) ([]Word, bool) {
+		stolen, _, ok := s.Steal(buf, false)
+		if !ok {
+			runtime.Gosched()
+		}
+		return stolen, ok
+	})
+}
+
+func stealChurn(t *testing.T, steal func(s *Stack, buf []Word) ([]Word, bool)) {
 	const (
 		rounds  = 2000
 		perLvl  = 8
@@ -158,13 +181,14 @@ func TestConcurrentStealChurn(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
+			buf := make([]Word, 0, 4)
 			for {
 				select {
 				case <-stop:
 					return
 				default:
 				}
-				if stolen, ok := s.StealShallowest(); ok {
+				if stolen, ok := steal(&s, buf); ok {
 					record(stolen[len(stolen)-1])
 				}
 			}
@@ -176,6 +200,9 @@ func TestConcurrentStealChurn(t *testing.T) {
 			exts[i] = Word(r*perLvl + i)
 		}
 		e := s.PushCopy([]Word{Word(r)}, exts[:])
+		if s.Top() != e || s.StateBytes() <= 0 {
+			t.Fatalf("round %d: owner view of its stack is stale", r)
+		}
 		for {
 			w, ok := e.Take()
 			if !ok {

@@ -90,6 +90,3 @@ func Cores(g *Graph) *CoreDecomposition {
 	}
 	return cd
 }
-
-// DegeneracyOrder returns the degeneracy ordering of g.
-func DegeneracyOrder(g *Graph) []VertexID { return Cores(g).Order }

@@ -13,6 +13,17 @@
 // subgraphs) per core; makespan is the maximum per-core work and parallel
 // efficiency is totalWork / (cores × makespan). Single-configuration runtime
 // comparisons (Figures 11-13, 15, 20a) still use wall-clock time.
+//
+// Work stealing is accounted the same way: every steal attempt counts its
+// victim probes, the locks it acquires and the prefix words it moves, and
+// the Section 6 steal overhead is those operations per core work unit.
+// Wall-clock steal time is kept as a secondary measure, timed only around
+// the steal critical sections, so a thief descheduled on an oversubscribed
+// host does not book the wait as steal time.
+//
+// Cores accumulate their hot counters (extension tests, subgraphs) locally
+// and fold them into the collector once, when they leave a step; a snapshot
+// taken mid-step therefore lags the cores still running.
 package metrics
 
 import (
@@ -31,6 +42,9 @@ type Collector struct {
 	stealsInternal atomic.Int64
 	stealsExternal atomic.Int64
 	stealBytes     atomic.Int64
+	stealProbes    atomic.Int64
+	stealLocks     atomic.Int64
+	stealWords     atomic.Int64
 	stealTimeNs    atomic.Int64
 	busyTimeNs     atomic.Int64
 	idleTimeNs     atomic.Int64
@@ -75,16 +89,27 @@ func (c *Collector) AddExternalSteal(n int64) {
 	c.stealBytes.Add(n)
 }
 
-// AddStealTime records time spent in work-stealing code paths (victim
-// scans, steal messaging, and response waits).
+// AddStealOps records the deterministic work of steal attempts: victims
+// probed (sibling stacks scanned, or steal requests sent), locks acquired
+// on victim state, and prefix words moved to the thief.
+func (c *Collector) AddStealOps(probes, locks, words int64) {
+	c.stealProbes.Add(probes)
+	c.stealLocks.Add(locks)
+	c.stealWords.Add(words)
+}
+
+// AddStealTime records wall time a core spent holding victims' locks in
+// internal steals.
 func (c *Collector) AddStealTime(d time.Duration) { c.stealTimeNs.Add(int64(d)) }
 
 // AddBusyTime records time a core spent processing work.
 func (c *Collector) AddBusyTime(d time.Duration) { c.busyTimeNs.Add(int64(d)) }
 
-// AddIdleTime records time a core spent sleeping between failed steal
-// attempts. Busy, idle, and steal time are disjoint: together they
-// partition each core's wall-clock lifetime within a step.
+// AddIdleTime records time a core spent without work: sleeping between
+// failed steal attempts, and the parts of steal attempts outside their
+// critical sections (waiting on a remote victim's response, or being
+// descheduled between probes). Busy, idle, and steal time are disjoint:
+// together they partition each core's wall-clock lifetime within a step.
 func (c *Collector) AddIdleTime(d time.Duration) { c.idleTimeNs.Add(int64(d)) }
 
 // AddAbandonedExts records enumerator extensions discarded by a cancelled
@@ -138,23 +163,31 @@ func (c *Collector) Steals() (internal, external int64) {
 func (c *Collector) StealBytes() int64 { return c.stealBytes.Load() }
 
 // BusyTime returns the total time cores spent holding work (runnable or
-// running), excluding both idle sleeps and time spent in steal code paths.
+// running), excluding both idle time and steal critical sections.
 func (c *Collector) BusyTime() time.Duration { return time.Duration(c.busyTimeNs.Load()) }
 
-// IdleTime returns the total time cores spent sleeping between failed
-// steal attempts.
+// IdleTime returns the total time cores spent without work (AddIdleTime).
 func (c *Collector) IdleTime() time.Duration { return time.Duration(c.idleTimeNs.Load()) }
 
-// StealTime returns the total time cores spent in work-stealing code paths.
+// StealTime returns the total time cores spent inside steal critical
+// sections.
 func (c *Collector) StealTime() time.Duration { return time.Duration(c.stealTimeNs.Load()) }
 
-// StealOverhead returns time-in-stealing / busy-time, the Section 6 number.
-func (c *Collector) StealOverhead() float64 {
-	busy := c.busyTimeNs.Load()
-	if busy == 0 {
+// StealOpsOverhead returns the Section 6 steal overhead in deterministic
+// units: steal operations (probes + locks + words) per core work unit.
+// Each operation touches victim memory once, the same order of cost as
+// one extension test, and the ratio does not depend on how the host
+// schedules the cores.
+func (c *Collector) StealOpsOverhead() float64 {
+	var work int64
+	for i := range c.coreWork {
+		work += c.coreWork[i].Load()
+	}
+	if work == 0 {
 		return 0
 	}
-	return float64(c.stealTimeNs.Load()) / float64(busy)
+	ops := c.stealProbes.Load() + c.stealLocks.Load() + c.stealWords.Load()
+	return float64(ops) / float64(work)
 }
 
 // PeakStateBytes returns the peak intermediate-state estimate.
@@ -219,6 +252,9 @@ type Snapshot struct {
 	StealsInternal  int64   `json:"steals_internal"`
 	StealsExternal  int64   `json:"steals_external"`
 	StealBytes      int64   `json:"steal_bytes"`
+	StealProbes     int64   `json:"steal_probes"`
+	StealLocks      int64   `json:"steal_locks"`
+	StealWords      int64   `json:"steal_words"`
 	StealTimeNs     int64   `json:"steal_time_ns"`
 	BusyTimeNs      int64   `json:"busy_time_ns"`
 	IdleTimeNs      int64   `json:"idle_time_ns"`
@@ -237,6 +273,9 @@ func (c *Collector) Snapshot() Snapshot {
 		StealsInternal:  c.stealsInternal.Load(),
 		StealsExternal:  c.stealsExternal.Load(),
 		StealBytes:      c.stealBytes.Load(),
+		StealProbes:     c.stealProbes.Load(),
+		StealLocks:      c.stealLocks.Load(),
+		StealWords:      c.stealWords.Load(),
 		StealTimeNs:     c.stealTimeNs.Load(),
 		BusyTimeNs:      c.busyTimeNs.Load(),
 		IdleTimeNs:      c.idleTimeNs.Load(),

@@ -3,7 +3,6 @@ package metrics
 import (
 	"sync"
 	"testing"
-	"time"
 )
 
 func TestCollectorCounters(t *testing.T) {
@@ -44,14 +43,16 @@ func TestSteals(t *testing.T) {
 }
 
 func TestStealOverhead(t *testing.T) {
-	c := NewCollector(1)
-	if c.StealOverhead() != 0 {
-		t.Error("overhead with no busy time should be 0")
+	c := NewCollector(2)
+	c.AddStealOps(1, 1, 1)
+	if c.StealOpsOverhead() != 0 {
+		t.Error("overhead with no core work should be 0")
 	}
-	c.AddBusyTime(100 * time.Millisecond)
-	c.AddStealTime(time.Millisecond)
-	if ov := c.StealOverhead(); ov < 0.009 || ov > 0.011 {
-		t.Errorf("overhead=%v, want ~0.01", ov)
+	c.AddExtensionTests(0, 200)
+	c.AddSubgraphs(1, 100)
+	c.AddStealOps(2, 2, 2) // 9 ops in total over 300 work units
+	if ov := c.StealOpsOverhead(); ov != 0.03 {
+		t.Errorf("overhead=%v, want 0.03", ov)
 	}
 }
 

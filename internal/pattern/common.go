@@ -109,11 +109,6 @@ func DoubleSquare() *Pattern {
 	return b.Build()
 }
 
-// TwinTriangles returns two triangles sharing an edge ("q7"-style symmetric
-// join-friendly pattern, 4 vertices 5 edges). Equal to ChordalSquare; kept as
-// its own name for the query suite readability.
-func TwinTriangles() *Pattern { return ChordalSquare() }
-
 // SEEDQueries returns the eight benchmark query patterns q1..q8 in the style
 // of Figure 14 of the paper (the SEED query suite): a progression from the
 // triangle to 5/6-vertex structures mixing symmetric/join-friendly shapes

@@ -3,6 +3,7 @@ package pattern
 import (
 	"fmt"
 	"strings"
+	"sync"
 )
 
 // Pattern decomposition (the DwarvesGraph direction named in ROADMAP item 1):
@@ -678,11 +679,33 @@ func Choose(p *Pattern) (*Choice, error) {
 // (same-edge-count classes share no spanning subgraph, and c[i][i] = 1).
 //
 // Cost is Σ_j 2^m(j) canonicalizations; callers gate pattern size with
-// MaxDecompVertices (2^10·21 at k=5).
+// MaxDecompVertices (2^10·21 at k=5). The matrix depends only on the
+// fleet's classes, so it is computed once per distinct fleet (keyed by the
+// patterns' canonical codes, in order) and shared: the result is
+// read-only.
 func SpanningCounts(pats []*Pattern) [][]int64 {
-	idx := make(map[string]int, len(pats))
+	codes := make([]string, len(pats))
 	for i, p := range pats {
-		idx[p.Canonical().Code] = i
+		codes[i] = p.Canonical().Code
+	}
+	key := strings.Join(codes, "\x00")
+	if c, ok := spanCache.Load(key); ok {
+		return c.([][]int64)
+	}
+	c, _ := spanCache.LoadOrStore(key, spanningCounts(pats, codes))
+	return c.([][]int64)
+}
+
+// spanCache memoizes SpanningCounts per fleet. The matrix is a pure
+// function of the key, so sharing it cannot change any caller's result;
+// fleets are few (one per k and label specialization), so the cache is
+// never evicted.
+var spanCache sync.Map
+
+func spanningCounts(pats []*Pattern, codes []string) [][]int64 {
+	idx := make(map[string]int, len(pats))
+	for i, code := range codes {
+		idx[code] = i
 	}
 	c := make([][]int64, len(pats))
 	for i := range c {

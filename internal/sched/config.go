@@ -221,14 +221,20 @@ type StepReport struct {
 	Utilization float64 `json:"utilization"`
 	// EC is the extension cost (candidate tests).
 	EC int64 `json:"ec"`
-	// Subgraphs is the number of complete embeddings processed.
+	// Subgraphs is the number of complete embeddings processed (counted
+	// without materializing them when only a Count follows the last
+	// Extend; the number is the same).
 	Subgraphs int64 `json:"subgraphs"`
 	// StealsInternal and StealsExternal count successful steals.
 	StealsInternal int64 `json:"steals_internal"`
 	StealsExternal int64 `json:"steals_external"`
 	// StealBytes is the serialized volume shipped by external steals.
 	StealBytes int64 `json:"steal_bytes"`
-	// StealOverhead is steal-time / busy-time.
+	// StealOverhead is the Section 6 steal overhead in deterministic
+	// units: steal operations (victim probes, lock acquisitions, stolen
+	// prefix words) per core work unit (metrics.Collector.StealOpsOverhead).
+	// The wall-clock steal time, timed around the critical sections only,
+	// is Metrics.StealTimeNs.
 	StealOverhead float64 `json:"steal_overhead"`
 	// PeakStateBytes is the peak enumerator-state estimate.
 	PeakStateBytes int64 `json:"peak_state_bytes"`

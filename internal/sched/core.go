@@ -3,6 +3,7 @@ package sched
 import (
 	"time"
 
+	"fractal/internal/agg"
 	"fractal/internal/enumerator"
 	"fractal/internal/metrics"
 	"fractal/internal/rpc"
@@ -20,6 +21,19 @@ type core struct {
 	stack      enumerator.Stack
 	respCh     chan stealRespMsg // external steal responses routed here
 	extScratch []subgraph.Word
+
+	// Per-step state, touched only by the core's own goroutine. stores is
+	// indexed like the step's primitives: the core's local store for each
+	// Aggregate or Count the step computes, nil elsewhere. ec and subgraphs
+	// accumulate the core's extension tests and complete embeddings and are
+	// folded into the step's collector once, when run returns — a shared
+	// atomic (and a false-shared per-core slot) per event was a large part
+	// of the per-embedding cost.
+	stores        []agg.Store
+	ec, subgraphs int64
+	// stealBuf receives internally stolen prefixes; install replays a
+	// prefix into the embedding before the next steal reuses the buffer.
+	stealBuf []subgraph.Word
 }
 
 func newCore(w *worker, local int) *core {
@@ -27,6 +41,9 @@ func newCore(w *worker, local int) *core {
 		w:      w,
 		local:  local,
 		respCh: make(chan stealRespMsg, 4),
+		// Deeper than any practical step, so a steal never allocates
+		// inside the victim's critical section.
+		stealBuf: make([]subgraph.Word, 0, 32),
 	}
 }
 
@@ -42,13 +59,15 @@ func (c *core) gidx(st *stepCtx) int { return st.base + c.local }
 func (c *core) run(st *stepCtx) {
 	defer st.wg.Done()
 	start := time.Now()
-	// idle accumulates only the sleeps between failed steal attempts;
-	// stealScan accumulates the time spent scanning victims and waiting on
-	// steal responses (mirroring what AddStealTime records). Keeping the
-	// two apart makes busy = total - idle - stealScan an honest "holding
-	// work" measure: booking scan time into idle would make
-	// busy+stealTime double-count the scans and skew StealOverhead().
-	var idle, stealScan time.Duration
+	// idle accumulates the time the core holds no work: the sleeps between
+	// failed steal attempts and the parts of steal attempts outside victims'
+	// critical sections (external response waits, descheduled stretches);
+	// steal accumulates the critical sections themselves (mirroring what
+	// AddStealTime records). With busy = total - idle - steal the three
+	// partition the core's lifetime, and a thief preempted mid-scan on an
+	// oversubscribed host books the wait as idle, not as steal overhead.
+	var idle, steal time.Duration
+	c.bindStores(st)
 
 	var emb *subgraph.Embedding
 	if st.custom != nil {
@@ -93,8 +112,9 @@ func (c *core) run(st *stepCtx) {
 				st.activeInc()
 				var prefix []subgraph.Word
 				var ok, external bool
+				var crit time.Duration // inside victims' critical sections
 				if c.w.cfg.WS.internal() {
-					if prefix, ok = c.stealInternal(st); ok {
+					if prefix, ok, crit = c.stealInternal(st); ok {
 						st.col.AddInternalSteal()
 					}
 				}
@@ -106,12 +126,12 @@ func (c *core) run(st *stepCtx) {
 					prefix, ok = c.stealExternal(st)
 					external = true
 				}
-				// Steal time stops here: installing and processing the
+				// The attempt ends here: installing and processing the
 				// stolen prefix is real enumeration work, so it belongs to
 				// busy time, not steal overhead.
-				scan := time.Since(scanStart)
-				st.col.AddStealTime(scan)
-				stealScan += scan
+				st.col.AddStealTime(crit)
+				steal += crit
+				idle += time.Since(scanStart) - crit
 				if ok {
 					c.traceSteal(st, external, true, misses)
 					c.install(st, emb, prefix)
@@ -163,8 +183,11 @@ func (c *core) run(st *stepCtx) {
 		c.process(st, emb, depth, w)
 	}
 
-	st.col.AddBusyTime(time.Since(start) - idle - stealScan)
+	st.col.AddBusyTime(time.Since(start) - idle - steal)
 	st.col.AddIdleTime(idle)
+	st.col.AddExtensionTests(c.gidx(st), c.ec)
+	st.col.AddSubgraphs(c.gidx(st), c.subgraphs)
+	c.ec, c.subgraphs = 0, 0
 	if st.aborted() {
 		// Drop the remaining enumeration state so thieves find nothing and
 		// memory is released promptly; record how much work was abandoned.
@@ -194,11 +217,25 @@ func (c *core) traceSteal(st *stepCtx, external, hit bool, misses int64) {
 	})
 }
 
+// bindStores resolves, once per step, the core's local store for every
+// primitive that folds into one, so the DFS loop indexes a slice instead of
+// looking stores up by name per embedding.
+func (c *core) bindStores(st *stepCtx) {
+	c.stores = c.stores[:0]
+	for i := range st.s.Primitives {
+		var s agg.Store
+		if p := &st.s.Primitives[i]; st.s.Computes(p) {
+			s = st.localAggs[c.local][p.Agg.Name]
+		}
+		c.stores = append(c.stores, s)
+	}
+}
+
 // process applies the primitives that follow the depth-th extension to the
 // embedding extended by w (the recursive body of Algorithm 1, iterated).
 func (c *core) process(st *stepCtx, emb *subgraph.Embedding, depth int, w subgraph.Word) {
 	emb.Push(w)
-	st.processed.Add(1)
+	st.processed[c.local].n.Add(1)
 	prims := st.s.Primitives
 	for i := st.s.ExtIdx[depth] + 1; i < len(prims); i++ {
 		p := &prims[i]
@@ -206,7 +243,20 @@ func (c *core) process(st *stepCtx, emb *subgraph.Embedding, depth int, w subgra
 		case step.Extend:
 			exts, tested := emb.Extensions(c.extScratch[:0])
 			c.extScratch = exts
-			st.col.AddExtensionTests(c.gidx(st), int64(tested))
+			c.ec += int64(tested)
+			if st.s.CountTail && depth+2 == len(st.s.ExtIdx) {
+				// Last-level counting: this is the final Extend and only
+				// Counts follow it. Every extension word completes an
+				// embedding (Push never re-validates), so the leaves are
+				// counted here instead of being pushed, taken and
+				// processed one by one.
+				n := int64(len(exts))
+				for j := i + 1; j < len(prims); j++ {
+					c.stores[j].(*agg.Int64Sums).Sums[0] += n
+				}
+				c.subgraphs += n
+				return
+			}
 			if len(exts) > 0 {
 				// PushCopy copies both slices into stack-pooled storage, so
 				// the steady-state DFS loop allocates nothing per subgraph.
@@ -224,28 +274,39 @@ func (c *core) process(st *stepCtx, emb *subgraph.Embedding, depth int, w subgra
 				return
 			}
 		case step.Aggregate:
-			if !st.s.Computed[p.Agg.Name] {
-				p.Agg.Emit(emb, st.localAggs[c.local][p.Agg.Name])
+			if s := c.stores[i]; s != nil {
+				p.Agg.Emit(emb, s)
 			}
+		case step.Count:
+			c.stores[i].(*agg.Int64Sums).Sums[0]++
 		case step.Visit:
 			p.VisitFn(emb)
 		}
 	}
 	// Complete embedding for this step.
-	st.col.AddSubgraphs(c.gidx(st), 1)
+	c.subgraphs++
 }
 
 // stealInternal scans sibling cores round-robin and steals the shallowest
-// available prefix (case (a)/(c) of Figure 9).
-func (c *core) stealInternal(st *stepCtx) ([]subgraph.Word, bool) {
+// available prefix (case (a)/(c) of Figure 9). crit is the wall time spent
+// inside the victims' steal critical sections; the probes, locks and words
+// of the attempt are recorded in the collector.
+func (c *core) stealInternal(st *stepCtx) (prefix []subgraph.Word, ok bool, crit time.Duration) {
 	n := len(c.w.cores)
-	for off := 1; off < n; off++ {
+	var probes, locks int64
+	for off := 1; off < n && !ok; off++ {
 		victim := c.w.cores[(c.local+off)%n]
-		if prefix, ok := victim.stack.StealShallowest(); ok {
-			return prefix, true
-		}
+		var cost enumerator.StealCost
+		prefix, cost, ok = victim.stack.Steal(c.stealBuf, false)
+		crit += cost.Held
+		probes++
+		locks += int64(cost.Locks)
 	}
-	return nil, false
+	if ok {
+		c.stealBuf = prefix
+	}
+	st.col.AddStealOps(probes, locks, int64(len(prefix)))
+	return prefix, ok, crit
 }
 
 // stealExternal sends steal requests to the attempt's other participants
@@ -257,16 +318,23 @@ func (c *core) stealInternal(st *stepCtx) ([]subgraph.Word, bool) {
 // request/response counters permanently imbalanced, which is exactly what
 // the master's steal-balance watchdog convicts — giving up here just keeps
 // the core schedulable until the attempt is failed and retried.
-func (c *core) stealExternal(st *stepCtx) ([]subgraph.Word, bool) {
+//
+// The victim's critical section runs on its router (serveSteal, which
+// records the locks it takes); the thief only waits, so the whole attempt
+// is idle time. Each request is one probe.
+func (c *core) stealExternal(st *stepCtx) (prefix []subgraph.Word, ok bool) {
 	w := c.w
 	parts := st.parts
 	if len(parts) <= 1 {
 		return nil, false
 	}
+	var probes int64
+	defer func() { st.col.AddStealOps(probes, 0, int64(len(prefix))) }()
 	for off := 1; off < len(parts); off++ {
 		victim := rpc.NodeID(parts[(st.rank+off)%len(parts)])
 		req := stealReqMsg{Job: st.job, Step: st.index, Attempt: st.attempt, Worker: w.id, Core: c.local}
 		w.reqSent.Add(1)
+		probes++
 		if err := w.tr.Send(victim, rpc.Envelope{Kind: kStealReq, Body: encode(req)}); err != nil {
 			w.reqSent.Add(-1) // never left this node
 			continue

@@ -638,7 +638,7 @@ func fillReport(rep *StepReport, run *jobRun) {
 	rep.Subgraphs = col.Subgraphs()
 	rep.StealsInternal, rep.StealsExternal = in, ex
 	rep.StealBytes = col.StealBytes()
-	rep.StealOverhead = col.StealOverhead()
+	rep.StealOverhead = col.StealOpsOverhead()
 	rep.PeakStateBytes = col.PeakStateBytes()
 	rep.AbandonedExts = col.AbandonedExts()
 	rep.AggMergeTime = col.AggMergeTime()

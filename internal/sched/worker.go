@@ -45,14 +45,24 @@ type stepCtx struct {
 	// every event site is one pointer comparison on the fast path.
 	tracer *metrics.Tracer
 
-	active    atomic.Int64
-	processed atomic.Int64
+	active atomic.Int64
+	// processed counts embeddings processed, one padded counter per local
+	// core; reportStatus sums them for the master's quiescence check,
+	// which only needs the total to be monotone.
+	processed []paddedCounter
 	stopped   atomic.Bool  // cheap per-iteration poll for the DFS loop
 	cancelled atomic.Bool  // stopped by cancellation rather than step end
 	abort     *atomic.Bool // the run's shared abort flag, set by the master
 	doneCh    chan struct{}
 	doneOnce  sync.Once
 	wg        sync.WaitGroup
+}
+
+// paddedCounter is an atomic counter alone on its cache line: a core's
+// per-embedding increment never invalidates a line another core writes.
+type paddedCounter struct {
+	n atomic.Int64
+	_ [56]byte
 }
 
 func (st *stepCtx) activeInc() { st.active.Add(1) }
@@ -237,6 +247,7 @@ func (w *worker) startStep(m stepStartMsg) {
 		tracer:     run.tracer,
 		abort:      &run.cancelled,
 		doneCh:     make(chan struct{}),
+		processed:  make([]paddedCounter, len(w.cores)),
 	}
 	w.reqSent.Store(0)
 	w.respRecv.Store(0)
@@ -386,7 +397,9 @@ func (w *worker) reportStatus(m statusPingMsg) {
 	if st != nil && st.job == m.Job && st.index == m.Step && st.attempt == m.Attempt {
 		rep.Running = true
 		rep.Active = st.active.Load()
-		rep.Processed = st.processed.Load()
+		for i := range st.processed {
+			rep.Processed += st.processed[i].n.Load()
+		}
 	}
 	w.tr.Send(rpc.Master, rpc.Envelope{Kind: kStatusReport, Body: encode(rep)})
 }
@@ -408,12 +421,16 @@ func (w *worker) serveSteal(m stealReqMsg) {
 	if match {
 		w.reqRecv.Add(1)
 		if !st.halted() {
+			var locks int64
 			for _, c := range w.cores {
-				if prefix, ok := c.stack.StealShallowest(); ok {
+				prefix, cost, ok := c.stack.Steal(nil, true)
+				locks += int64(cost.Locks)
+				if ok {
 					resp.Prefix = prefix
 					break
 				}
 			}
+			st.col.AddStealOps(0, locks, 0)
 		}
 		w.respSent.Add(1)
 	}

@@ -31,6 +31,11 @@ const (
 	Aggregate
 	// Visit streams completed embeddings to user code (output operator O1).
 	Visit
+	// Count counts the embeddings reaching it (the count of output
+	// operator O1) into a per-core agg.Int64Sums that reduces through the
+	// aggregation pipeline like any Aggregate, so the count is
+	// attempt-tagged and exactly-once under step retries.
+	Count
 )
 
 // String implements fmt.Stringer.
@@ -46,6 +51,8 @@ func (k Kind) String() string {
 		return "A"
 	case Visit:
 		return "V"
+	case Count:
+		return "C"
 	}
 	return fmt.Sprintf("Kind(%d)", uint8(k))
 }
@@ -125,6 +132,13 @@ func AggregateP(spec *AggSpec) Primitive { return Primitive{Kind: Aggregate, Agg
 // VisitP returns a visit primitive.
 func VisitP(f func(*subgraph.Embedding)) Primitive { return Primitive{Kind: Visit, VisitFn: f} }
 
+// CountP returns a count primitive whose total lands in the environment
+// under name as a one-slot agg.Int64Sums. Unlike an Aggregate, a count is
+// never taken from the environment: every execution recounts.
+func CountP(name string) Primitive {
+	return Primitive{Kind: Count, Agg: &AggSpec{Name: name, Proto: agg.NewInt64Sums(1)}}
+}
+
 // Step is one fractal step: the primitives to execute (including all
 // ancestor primitives, per the from-scratch paradigm) plus static metadata
 // the DFS engine uses.
@@ -138,6 +152,13 @@ type Step struct {
 	// Aggregate primitives are skipped during re-computation and their
 	// AggFilter primitives read from the environment.
 	Computed map[string]bool
+	// CountTail reports that nothing but Count primitives follows the
+	// last Extend (and that there are at least two Extends, so the last
+	// one is computed inside the DFS rather than seeded as the root
+	// domain). The engine then counts the last level's extensions instead
+	// of materializing them as embeddings: every extension word yields a
+	// complete embedding, and a Count only needs their number.
+	CountTail bool
 }
 
 // build derives the static metadata of a step.
@@ -151,18 +172,33 @@ func build(prims []Primitive, computed map[string]bool) *Step {
 			s.ExtIdx = append(s.ExtIdx, i)
 		}
 	}
+	if d := len(s.ExtIdx); d >= 2 {
+		s.CountTail = true
+		for _, p := range prims[s.ExtIdx[d-1]+1:] {
+			if p.Kind != Count {
+				s.CountTail = false
+			}
+		}
+	}
 	return s
 }
 
 // Depth returns the number of extension levels of the step.
 func (s *Step) Depth() int { return len(s.ExtIdx) }
 
-// AggSpecs returns the aggregation specifications that this step must
-// compute (not already available in the environment).
+// Computes reports whether primitive p folds into a store this step must
+// produce: an Aggregate not already available in the environment, or a
+// Count.
+func (s *Step) Computes(p *Primitive) bool {
+	return p.Kind == Count || (p.Kind == Aggregate && !s.Computed[p.Agg.Name])
+}
+
+// AggSpecs returns the specifications of the stores this step must compute
+// (see Computes).
 func (s *Step) AggSpecs() []*AggSpec {
 	var out []*AggSpec
-	for _, p := range s.Primitives {
-		if p.Kind == Aggregate && !s.Computed[p.Agg.Name] {
+	for i := range s.Primitives {
+		if p := &s.Primitives[i]; s.Computes(p) {
 			out = append(out, p.Agg)
 		}
 	}
@@ -222,6 +258,10 @@ func Split(w Workflow, precomputed map[string]bool) ([]*Step, error) {
 		case Visit:
 			if p.VisitFn == nil {
 				return nil, fmt.Errorf("step: visit primitive at %d has no function", i)
+			}
+		case Count:
+			if p.Agg == nil || p.Agg.Name == "" {
+				return nil, fmt.Errorf("step: count primitive at %d has no name", i)
 			}
 		}
 		cur = append(cur, p)

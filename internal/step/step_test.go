@@ -192,3 +192,42 @@ func TestFilterVisitConstructors(t *testing.T) {
 		t.Error("AggFilterP wrong")
 	}
 }
+
+// CountTail marks exactly the steps whose last Extend is followed by
+// nothing but counts, and only when that Extend is not the root domain.
+func TestCountTail(t *testing.T) {
+	cases := []struct {
+		w    Workflow
+		want bool
+	}{
+		{Workflow{ExtendP(), ExtendP(), CountP("n")}, true},
+		{Workflow{ExtendP(), FilterP(truePred), ExtendP(), CountP("n")}, true},
+		{Workflow{ExtendP(), ExtendP(), FilterP(truePred), CountP("n")}, false},
+		{Workflow{ExtendP(), ExtendP(), AggregateP(countSpec("a")), CountP("n")}, false},
+		{Workflow{ExtendP(), CountP("n")}, false},
+		{Workflow{ExtendP(), ExtendP(), VisitP(func(*subgraph.Embedding) {})}, false},
+	}
+	for _, c := range cases {
+		steps, err := Split(c.w, nil)
+		if err != nil {
+			t.Fatalf("%s: %v", c.w, err)
+		}
+		if got := steps[len(steps)-1].CountTail; got != c.want {
+			t.Errorf("%s: CountTail=%v, want %v", c.w, got, c.want)
+		}
+	}
+}
+
+// A count recomputes even when the environment already holds its name,
+// unlike an Aggregate, whose precomputed result is reused.
+func TestCountAlwaysComputed(t *testing.T) {
+	w := Workflow{ExtendP(), ExtendP(), AggregateP(countSpec("a")), CountP("n")}
+	steps, err := Split(w, map[string]bool{"a": true, "n": true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	specs := steps[0].AggSpecs()
+	if len(specs) != 1 || specs[0].Name != "n" {
+		t.Errorf("AggSpecs=%v, want only the count", specs)
+	}
+}
