@@ -37,10 +37,15 @@ test:
 bench:
 	go test -bench=. -benchmem ./...
 
-# Extension-kernel and set-intersection microbenchmarks (EXPERIMENTS.md).
+# Benchmark time of the bench-* suites (CI smoke runs use 1x).
+BENCHTIME ?= 1s
+
+# Extension-kernel, set-intersection and per-embedding canonicalization
+# microbenchmarks (EXPERIMENTS.md). CI runs this with BENCHTIME=1x as a
+# smoke test and JSON snapshot (scripts/bench_json.sh micro 1x).
 bench-micro:
-	go test -run=NONE -bench='Extensions|Enumerate|Intersect' -benchmem \
-		./internal/subgraph/ ./internal/graph/
+	go test -run=NONE -bench='Extensions|Enumerate|Intersect|EmbeddingCanon' \
+		-benchtime=$(BENCHTIME) -benchmem ./internal/subgraph/ ./internal/graph/
 
 # Aggregation-pipeline microbenchmarks: allocation-free domain supports and
 # the binary wire codec against the retained seed oracle (EXPERIMENTS.md).
@@ -51,7 +56,6 @@ bench-agg:
 # Compiled-plan engines against the canonical-check enumeration paths:
 # motif and clique counting end to end (EXPERIMENTS.md). CI runs this with
 # BENCHTIME=1x as a smoke test.
-BENCHTIME ?= 1s
 bench-plan:
 	go test -run=NONE -bench='MotifsPlan|MotifsCanon|CliquesPlan|CliquesCanon' \
 		-benchtime=$(BENCHTIME) -benchmem ./internal/apps/

@@ -534,9 +534,13 @@ func (fg *Graph) Stats() graph.Stats { return fg.g.Stats() }
 // PatternOf returns the canonical pattern key of an embedding, using the
 // context-wide code cache. The returned Canon carries the code string (a
 // valid aggregation key) and the canonical position of every embedding
-// vertex.
+// vertex; its Perm is shared and must not be mutated. The result is
+// memoized per embedding state (Subgraph.Canon): PatternOf, PatternRep and
+// MNISupport on the same embedding share one computation, and a quick
+// pattern the core has met before costs no allocation.
 func (c *Context) PatternOf(e *Subgraph) pattern.Canon {
-	return c.cache.Canonical(e.Pattern())
+	canon, _ := e.Canon(c.cache)
+	return canon
 }
 
 // PatternCanon canonicalizes an explicit pattern through the context-wide
@@ -550,9 +554,10 @@ func (c *Context) PatternCanon(p *Pattern) pattern.Canon {
 // *Pattern (relabeled to canonical vertex order), which makes "first pattern
 // wins" reductions independent of embedding arrival and merge order.
 // Aggregation value functions should carry this pattern rather than the
-// embedding's own numbering.
+// embedding's own numbering. Memoized per embedding state, like PatternOf.
 func (c *Context) PatternRep(e *Subgraph) *Pattern {
-	return c.cache.Representative(e.Pattern())
+	_, rep := e.Canon(c.cache)
+	return rep
 }
 
 // PatternRepOf returns the shared canonical representative of an explicit
@@ -567,10 +572,13 @@ func (c *Context) PatternRepOf(p *Pattern) *Pattern {
 // the paper's FSM listing). The contribution is built on pooled per-core
 // scratch storage and carries the class's shared representative pattern; it
 // is meant to flow directly into an aggregation (Aggregate's value
-// function), whose first store clones it and whose reduction reclaims it —
-// the FSM hot loop allocates nothing per embedding.
+// function), whose first store clones it and whose reduction reclaims it.
+// The canonical form comes from the same per-embedding-state memo as
+// PatternOf, so with PatternOf as the key function the embedding is
+// canonicalized once, and on a memo hit the FSM hot loop allocates nothing
+// per embedding.
 func (c *Context) MNISupport(e *Subgraph, threshold int64) *DomainSupport {
-	canon, rep := c.cache.CanonicalRep(e.Pattern())
+	canon, rep := e.Canon(c.cache)
 	return agg.ScratchDomainSupport(rep, threshold, e.Vertices(), canon.Perm)
 }
 

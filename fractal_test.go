@@ -226,6 +226,39 @@ func TestMNISupportHelper(t *testing.T) {
 	}
 }
 
+// TestCanonHelpersAllocFree pins the FSM per-embedding path: once the
+// embedding's memo has met a quick pattern, re-entering that state and
+// calling PatternOf and MNISupport (folded into an aggregation, which
+// reclaims the scratch contribution) allocates nothing.
+func TestCanonHelpersAllocFree(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops items at random under the race detector")
+	}
+	ctx := testContext(t)
+	b := graph.NewBuilder("labeled-path")
+	for i := 0; i < 4; i++ {
+		b.AddVertex(graph.Label(i % 2))
+	}
+	var ids []graph.EdgeID
+	for i := 0; i < 3; i++ {
+		ids = append(ids, b.MustAddEdge(graph.VertexID(i), graph.VertexID(i+1), graph.Label(i)))
+	}
+	e := subgraph.New(b.Build(), subgraph.EdgeInduced, nil)
+	for _, id := range ids {
+		e.Push(subgraph.Word(id))
+	}
+	a := agg.New[string, *DomainSupport](agg.ReduceDomainSupport)
+	step := func() {
+		e.Pop()
+		e.Push(subgraph.Word(ids[2]))
+		a.Add(ctx.PatternOf(e).Code, ctx.MNISupport(e, 2))
+	}
+	step() // warm the memo and the aggregation entry
+	if allocs := testing.AllocsPerRun(200, step); allocs != 0 {
+		t.Errorf("PatternOf + MNISupport allocate %.1f times per embedding on a memo hit, want 0", allocs)
+	}
+}
+
 func TestAdjacencyListLoading(t *testing.T) {
 	ctx := testContext(t)
 	dir := t.TempDir()

@@ -126,8 +126,19 @@ func record(out *FSMResult, lvl *agg.Aggregation[string, *agg.DomainSupport]) {
 // participate in any frequent subgraph.
 func reduceToFrequentEdges(fc *fractal.Context, g *fractal.Graph,
 	level1 *agg.Aggregation[string, *agg.DomainSupport]) *fractal.Graph {
+	// A single-edge pattern is fixed by its (source label, destination
+	// label, edge label) triple, so each distinct triple is canonicalized
+	// once rather than once per edge.
+	frequent := map[[3]graph.Label]bool{}
 	reduced := g.EFilter(func(id graph.EdgeID, gr *graph.Graph) bool {
-		return level1.Contains(edgePatternCode(fc, gr, id))
+		src, dst := gr.EdgeEndpoints(id)
+		key := [3]graph.Label{gr.VertexLabel(src), gr.VertexLabel(dst), gr.EdgeLabel(id)}
+		keep, ok := frequent[key]
+		if !ok {
+			keep = level1.Contains(edgePatternCode(fc, gr, id))
+			frequent[key] = keep
+		}
+		return keep
 	})
 	return reduced.VFilter(func(v graph.VertexID, gr *graph.Graph) bool {
 		return gr.Degree(v) > 0

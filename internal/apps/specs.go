@@ -239,14 +239,18 @@ func (b fsmBuilder) Build(spec fractal.JobSpec, g *graph.Graph, _ *agg.Registry)
 	for l := 1; l < level; l++ {
 		f = fractal.FilterAgg(f, fsmSupName(l),
 			func(e *fractal.Subgraph, a *agg.Aggregation[string, *agg.DomainSupport]) bool {
-				return a.Contains(b.cache.Canonical(e.Pattern()).Code)
+				canon, _ := e.Canon(b.cache)
+				return a.Contains(canon.Code)
 			})
 		f = f.Expand(1)
 	}
 	return fractal.Aggregate(f, fsmSupName(level),
-		func(e *fractal.Subgraph) string { return b.cache.Canonical(e.Pattern()).Code },
+		func(e *fractal.Subgraph) string {
+			canon, _ := e.Canon(b.cache)
+			return canon.Code
+		},
 		func(e *fractal.Subgraph) *agg.DomainSupport {
-			canon, rep := b.cache.CanonicalRep(e.Pattern())
+			canon, rep := e.Canon(b.cache)
 			return agg.ScratchDomainSupport(rep, minSupport, e.Vertices(), canon.Perm)
 		},
 		agg.ReduceDomainSupport,

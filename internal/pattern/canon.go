@@ -3,7 +3,6 @@ package pattern
 import (
 	"bytes"
 	"sync"
-	"sync/atomic"
 )
 
 // This file implements canonical labeling: the ρ(S) function of Section 2.1.
@@ -125,8 +124,6 @@ type CodeCache struct {
 	m      map[string]Canon
 	reps   map[string]*Pattern // canonical code -> shared representative
 	maxLen int
-	hits   atomic.Uint64
-	misses atomic.Uint64
 }
 
 // NewCodeCache returns a cache bounded to maxEntries (<=0 means a default of
@@ -146,11 +143,9 @@ func (c *CodeCache) Canonical(p *Pattern) Canon {
 	canon, ok := c.m[fp]
 	c.mu.RUnlock()
 	if ok {
-		c.hits.Add(1)
 		return canon
 	}
 	canon = p.Canonical()
-	c.misses.Add(1)
 	c.mu.Lock()
 	if len(c.m) >= c.maxLen {
 		c.m = make(map[string]Canon)
@@ -202,9 +197,4 @@ func (c *CodeCache) CanonicalRep(p *Pattern) (Canon, *Pattern) {
 	}
 	c.mu.Unlock()
 	return canon, rep
-}
-
-// Stats returns (hits, misses).
-func (c *CodeCache) Stats() (hits, misses uint64) {
-	return c.hits.Load(), c.misses.Load()
 }

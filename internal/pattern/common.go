@@ -1,6 +1,11 @@
 package pattern
 
-import "fractal/internal/graph"
+import (
+	"fmt"
+	"slices"
+
+	"fractal/internal/graph"
+)
 
 // This file provides constructors for the pattern shapes used throughout the
 // paper's evaluation: cliques and triangles (Fig 12, 20a), paths/stars/cycles,
@@ -149,38 +154,58 @@ func twoTrianglePrism() *Pattern {
 // vs[i] and vs[j]. When es is nil the pattern is vertex-induced: all edges of
 // g among vs are included.
 func FromEmbedding(g *graph.Graph, vs []graph.VertexID, es []graph.EdgeID) *Pattern {
-	b := NewBuilder(len(vs))
-	pos := map[graph.VertexID]int{}
+	return FromEmbeddingInto(new(Pattern), g, vs, es)
+}
+
+// FromEmbeddingInto rebuilds p in place as FromEmbedding(g, vs, es) and
+// returns it. It reuses p's storage, so once p has held a pattern of
+// len(vs) vertices it allocates nothing. p must be scratch storage owned
+// by the caller: every Pattern handed out elsewhere is immutable.
+func FromEmbeddingInto(p *Pattern, g *graph.Graph, vs []graph.VertexID, es []graph.EdgeID) *Pattern {
+	n := len(vs)
+	if n > MaxVertices {
+		panic(fmt.Sprintf("pattern: %d vertices out of range [0,%d]", n, MaxVertices))
+	}
+	p.n, p.m = n, 0
+	p.vlabels = resize(p.vlabels, n)
+	p.adj = resize(p.adj, n)
+	p.elabels = resize(p.elabels, n*n)
 	for i, v := range vs {
-		b.SetVertexLabel(i, g.VertexLabel(v))
-		pos[v] = i
+		p.vlabels[i] = g.VertexLabel(v)
+		p.adj[i] = 0
+	}
+	for i := range p.elabels {
+		p.elabels[i] = NoLabel
 	}
 	if es == nil {
 		for i, v := range vs {
-			for j := i + 1; j < len(vs); j++ {
+			for j := i + 1; j < n; j++ {
 				if id := g.EdgeBetween(v, vs[j]); id != graph.NilEdge {
-					b.AddEdge(i, j, g.EdgeLabel(id))
+					p.addEdge(i, j, g.EdgeLabel(id))
 				}
 			}
 		}
-	} else {
-		seen := map[[2]int]bool{}
-		for _, id := range es {
-			e := g.EdgeByID(id)
-			i, ok1 := pos[e.Src]
-			j, ok2 := pos[e.Dst]
-			if !ok1 || !ok2 {
-				continue
-			}
-			if i > j {
-				i, j = j, i
-			}
-			if seen[[2]int{i, j}] {
-				continue // patterns are simple; parallel edges collapse
-			}
-			seen[[2]int{i, j}] = true
-			b.AddEdge(i, j, g.EdgeLabel(id))
-		}
+		return p
 	}
-	return b.Build()
+	for _, id := range es {
+		src, dst := g.EdgeEndpoints(id)
+		i, j := slices.Index(vs, src), slices.Index(vs, dst)
+		if i < 0 || j < 0 || p.HasEdge(i, j) {
+			continue // patterns are simple; parallel edges collapse
+		}
+		if i == j {
+			panic("pattern: self-loop")
+		}
+		p.addEdge(i, j, g.EdgeLabel(id))
+	}
+	return p
+}
+
+// resize returns s resliced to length n, reallocating only when its
+// capacity is short; the contents are unspecified.
+func resize[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
 }

@@ -71,15 +71,20 @@ func (b *PBuilder) AddEdge(u, v int, l graph.Label) *PBuilder {
 	if u < 0 || v < 0 || u >= b.p.n || v >= b.p.n {
 		panic(fmt.Sprintf("pattern: edge (%d,%d) out of range n=%d", u, v, b.p.n))
 	}
-	if b.p.adj[u]&(1<<uint(v)) != 0 {
+	if b.p.HasEdge(u, v) {
 		panic(fmt.Sprintf("pattern: duplicate edge (%d,%d)", u, v))
 	}
-	b.p.adj[u] |= 1 << uint(v)
-	b.p.adj[v] |= 1 << uint(u)
-	b.p.elabels[u*b.p.n+v] = l
-	b.p.elabels[v*b.p.n+u] = l
-	b.p.m++
+	b.p.addEdge(u, v, l)
 	return b
+}
+
+// addEdge records the undirected edge u-v with label l, unchecked.
+func (p *Pattern) addEdge(u, v int, l graph.Label) {
+	p.adj[u] |= 1 << uint(v)
+	p.adj[v] |= 1 << uint(u)
+	p.elabels[u*p.n+v] = l
+	p.elabels[v*p.n+u] = l
+	p.m++
 }
 
 // Build returns the immutable pattern.
@@ -134,23 +139,29 @@ func (p *Pattern) Connected() bool {
 // identical labeled graphs on 0..n-1 (NOT merely isomorphic). Used as a
 // cache key in front of canonical labeling.
 func (p *Pattern) Fingerprint() string {
-	var sb strings.Builder
-	sb.Grow(4 + p.n*6 + p.n*p.n)
-	writeInt(&sb, p.n)
+	var buf [256]byte // on the stack; holds the fingerprint of up to 9 vertices
+	return string(p.AppendFingerprint(buf[:0]))
+}
+
+// AppendFingerprint appends the bytes of Fingerprint to dst and returns the
+// extended slice, so hot loops can key lookups by a reused buffer without
+// allocating.
+func (p *Pattern) AppendFingerprint(dst []byte) []byte {
+	dst = appendLabel(dst, int32(p.n))
 	for _, l := range p.vlabels {
-		writeInt(&sb, int(l))
+		dst = appendLabel(dst, int32(l))
 	}
 	for i := 1; i < p.n; i++ {
 		for j := 0; j < i; j++ {
 			if p.HasEdge(i, j) {
-				sb.WriteByte(1)
-				writeInt(&sb, int(p.EdgeLabel(i, j)))
+				dst = append(dst, 1)
+				dst = appendLabel(dst, int32(p.EdgeLabel(i, j)))
 			} else {
-				sb.WriteByte(0)
+				dst = append(dst, 0)
 			}
 		}
 	}
-	return sb.String()
+	return dst
 }
 
 // Relabel returns a copy of p with vertex i renamed to perm[i].
@@ -191,11 +202,4 @@ func (p *Pattern) String() string {
 	}
 	sb.WriteString("])")
 	return sb.String()
-}
-
-func writeInt(sb *strings.Builder, v int) {
-	sb.WriteByte(byte(v >> 24))
-	sb.WriteByte(byte(v >> 16))
-	sb.WriteByte(byte(v >> 8))
-	sb.WriteByte(byte(v))
 }

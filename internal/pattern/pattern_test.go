@@ -199,6 +199,126 @@ func TestCanonicalInvarianceProperty(t *testing.T) {
 	}
 }
 
+// Property: AppendFingerprint appends exactly Fingerprint's bytes after any
+// prefix, and fingerprints are exact: a relabeled copy keeps the fingerprint
+// iff it is the identical labeled graph.
+func TestFingerprintProperty(t *testing.T) {
+	f := func(seed int64) bool {
+		r := rand.New(rand.NewSource(seed))
+		n := 1 + r.Intn(6)
+		p := randPattern(r, n, r.Intn(2) == 0)
+		prefix := []byte{0xab, 0xcd}
+		if string(p.AppendFingerprint(prefix)) != string(prefix)+p.Fingerprint() {
+			return false
+		}
+		q := p.Relabel(r.Perm(n))
+		return (q.Fingerprint() == p.Fingerprint()) == samePattern(p, q)
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 80}); err != nil {
+		t.Error(err)
+	}
+}
+
+// samePattern reports whether p and q are the identical labeled graph on
+// 0..n-1.
+func samePattern(p, q *Pattern) bool {
+	if p.NumVertices() != q.NumVertices() || p.NumEdges() != q.NumEdges() {
+		return false
+	}
+	for u := 0; u < p.NumVertices(); u++ {
+		if p.VertexLabel(u) != q.VertexLabel(u) || p.AdjMask(u) != q.AdjMask(u) {
+			return false
+		}
+		for v := 0; v < p.NumVertices(); v++ {
+			if p.EdgeLabel(u, v) != q.EdgeLabel(u, v) {
+				return false
+			}
+		}
+	}
+	return true
+}
+
+// Property: rebuilding one scratch pattern in place through embeddings of
+// varying size yields the same pattern as a fresh FromEmbedding, for
+// vertex-induced and edge-induced (parallel edges included) embeddings.
+func TestFromEmbeddingIntoProperty(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	gb := graph.NewBuilder("multi")
+	const nv = 8
+	for i := 0; i < nv; i++ {
+		gb.AddVertex(graph.Label(rng.Intn(3)))
+	}
+	for i := 0; i < 24; i++ {
+		u, v := graph.VertexID(rng.Intn(nv)), graph.VertexID(rng.Intn(nv))
+		if u != v {
+			gb.MustAddEdge(u, v, graph.Label(rng.Intn(2)))
+		}
+	}
+	g := gb.Build()
+	var scratch Pattern
+	for i := 0; i < 200; i++ {
+		vs := make([]graph.VertexID, 0, nv)
+		for _, v := range rng.Perm(nv)[:1+rng.Intn(nv)] {
+			vs = append(vs, graph.VertexID(v))
+		}
+		var es []graph.EdgeID
+		if rng.Intn(2) == 0 {
+			es = []graph.EdgeID{}
+			for id := 0; id < g.NumEdges(); id++ {
+				if rng.Intn(2) == 0 {
+					es = append(es, graph.EdgeID(id))
+				}
+			}
+		}
+		want := refFromEmbedding(g, vs, es)
+		if got := FromEmbedding(g, vs, es); !samePattern(got, want) {
+			t.Fatalf("case %d: FromEmbedding %v, want %v (vs=%v es=%v)", i, got, want, vs, es)
+		}
+		if got := FromEmbeddingInto(&scratch, g, vs, es); !samePattern(got, want) || got.Fingerprint() != want.Fingerprint() {
+			t.Fatalf("case %d: in place %v, want %v (vs=%v es=%v)", i, got, want, vs, es)
+		}
+	}
+}
+
+// refFromEmbedding is the map-based reference construction of an
+// embedding's pattern: position lookups through a map, and the first edge
+// of every vertex pair wins.
+func refFromEmbedding(g *graph.Graph, vs []graph.VertexID, es []graph.EdgeID) *Pattern {
+	b := NewBuilder(len(vs))
+	pos := map[graph.VertexID]int{}
+	for i, v := range vs {
+		b.SetVertexLabel(i, g.VertexLabel(v))
+		pos[v] = i
+	}
+	if es == nil {
+		for i := range vs {
+			for j := i + 1; j < len(vs); j++ {
+				if id := g.EdgeBetween(vs[i], vs[j]); id != graph.NilEdge {
+					b.AddEdge(i, j, g.EdgeLabel(id))
+				}
+			}
+		}
+		return b.Build()
+	}
+	seen := map[[2]int]bool{}
+	for _, id := range es {
+		e := g.EdgeByID(id)
+		i, ok1 := pos[e.Src]
+		j, ok2 := pos[e.Dst]
+		if !ok1 || !ok2 {
+			continue
+		}
+		if i > j {
+			i, j = j, i
+		}
+		if !seen[[2]int{i, j}] {
+			seen[[2]int{i, j}] = true
+			b.AddEdge(i, j, g.EdgeLabel(id))
+		}
+	}
+	return b.Build()
+}
+
 func TestIsomorphic(t *testing.T) {
 	if !Isomorphic(Cycle(4), Cycle(4).Relabel([]int{2, 0, 3, 1})) {
 		t.Error("relabel of square not isomorphic to square")
@@ -299,9 +419,10 @@ func TestCodeCache(t *testing.T) {
 	if c1.Code != c2.Code {
 		t.Fatal("cache returned different codes")
 	}
-	h, m := c.Stats()
-	if h != 1 || m != 1 {
-		t.Errorf("hits=%d misses=%d, want 1,1", h, m)
+	// A hit returns the cached Canon itself, not a recomputation: its Perm
+	// shares the backing array of the first lookup's.
+	if &c1.Perm[0] != &c2.Perm[0] {
+		t.Error("second lookup recomputed the canonical form instead of hitting the cache")
 	}
 	// Overflow the tiny cache; it must still return correct results.
 	c.Canonical(Path(3))

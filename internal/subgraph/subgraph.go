@@ -103,6 +103,10 @@ type Embedding struct {
 	// custom, when non-nil, overrides extension-candidate generation
 	// (Appendix B; see CustomExtender).
 	custom CustomExtender
+
+	// Canonicalization state (see Canon), allocated on first use so that
+	// embeddings which never canonicalize stay small.
+	canon *canonMemo
 }
 
 // New returns an empty embedding over g. plan is required iff kind is
@@ -173,6 +177,7 @@ func (e *Embedding) Push(w Word) {
 	}
 	e.words = append(e.words, w)
 	e.updateTails()
+	e.invalidateCanon()
 	if e.custom != nil {
 		e.custom.Pushed(e, w)
 	}
@@ -205,6 +210,7 @@ func (e *Embedding) Pop() {
 	}
 	e.words = e.words[:k]
 	e.updateTails()
+	e.invalidateCanon()
 }
 
 // TruncateTo pops until Len() == depth.
@@ -686,11 +692,21 @@ func (e *Embedding) Complete() bool {
 // edges for vertex-induced, the exact edge set for edge-induced, and the
 // plan's pattern for pattern-induced embeddings.
 func (e *Embedding) Pattern() *pattern.Pattern {
+	if e.kind == PatternInduced {
+		return e.plan.P
+	}
+	return e.patternInto(new(pattern.Pattern))
+}
+
+// patternInto builds the Pattern of the current embedding into dst (see
+// pattern.FromEmbeddingInto); pattern-induced embeddings return the plan's
+// pattern and leave dst untouched.
+func (e *Embedding) patternInto(dst *pattern.Pattern) *pattern.Pattern {
 	switch e.kind {
 	case VertexInduced:
-		return pattern.FromEmbedding(e.g, e.vertices, nil)
+		return pattern.FromEmbeddingInto(dst, e.g, e.vertices, nil)
 	case EdgeInduced:
-		return pattern.FromEmbedding(e.g, e.vertices, e.edges)
+		return pattern.FromEmbeddingInto(dst, e.g, e.vertices, e.edges)
 	default:
 		return e.plan.P
 	}
