@@ -61,11 +61,12 @@ bench-plan:
 		-benchtime=$(BENCHTIME) -benchmem ./internal/apps/
 
 # Decomposition engine against the pure plan fleet: k=4/k=5 motif counting
-# end to end, plus the auto-selecting entry point (EXPERIMENTS.md §14). CI
-# runs this with BENCHTIME=1x as a smoke test.
+# end to end, plus the auto-selecting entry point and the k=3 local-count
+# sweep kernel alone (EXPERIMENTS.md §14). CI runs this with BENCHTIME=1x as
+# a smoke test.
 bench-decomp:
-	go test -run=NONE -bench='MotifsDecomp|MotifsAuto|MotifsPlan' \
-		-benchtime=$(BENCHTIME) -benchmem ./internal/apps/
+	go test -run=NONE -bench='MotifsDecomp|MotifsAuto|MotifsPlan|LocalCounts' \
+		-benchtime=$(BENCHTIME) -benchmem ./internal/apps/ ./internal/subgraph/
 
 # CSR + .fgr storage microbenchmarks: mmap load vs edge-list parse (with
 # live-heap deltas), neighbor-scan throughput of the packed CSR arrays vs

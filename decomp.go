@@ -87,12 +87,18 @@ func (fg *Graph) EvalDecomps(ctx context.Context, plans []*DecompPlan) ([]int64,
 	}
 	slots := make([][]slot, len(live))
 	for pi, dp := range live {
-		if dp.NeedTri {
-			terms.NeedTri = true
-		}
 		slots[pi] = make([]slot, len(dp.Terms))
 		for ti, t := range dp.Terms {
 			t := t
+			// Pair terms read c(u,v) only; per-vertex triangle counts
+			// are built only when a vertex term reads tri(v).
+			if t.NeedsTri() {
+				if t.Pair() {
+					terms.NeedCommon = true
+				} else {
+					terms.NeedTri = true
+				}
+			}
 			if t.Pair() {
 				slots[pi][ti] = slot{pair: true, idx: len(terms.Pair)}
 				terms.Pair = append(terms.Pair, t.EvalPair)

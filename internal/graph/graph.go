@@ -12,6 +12,7 @@ package graph
 import (
 	"fmt"
 	"sort"
+	"sync"
 )
 
 // VertexID identifies a vertex in a Graph. IDs are dense in [0, NumVertices).
@@ -105,6 +106,14 @@ type Graph struct {
 	// construction paths (Builder.Build, DecodeFGR) set them via finalize.
 	vlabFixed bool
 	elabFixed bool
+
+	// uniform memoizes UniformLabels: the graph is immutable, so the O(V+E)
+	// scan runs at most once, on first use (not at load).
+	uniform struct {
+		once   sync.Once
+		vl, el Label
+		ok     bool
+	}
 }
 
 // finalize precomputes the derived fast-path flags after the packed arrays
@@ -301,8 +310,15 @@ func (g *Graph) HasKeywords() bool { return g.vkwOff != nil || g.ekwOff != nil }
 // all vertices agree, and every edge label agrees; the common labels are
 // returned (NoLabel sentinels for unlabeled). Uniform graphs admit
 // label-blind engines — the motifs fast path and the decomposition sweep
-// both key off this.
+// both key off this. The answer is computed once per graph and memoized.
 func (g *Graph) UniformLabels() (vl, el Label, ok bool) {
+	u := &g.uniform
+	u.once.Do(func() { u.vl, u.el, u.ok = g.scanUniformLabels() })
+	return u.vl, u.el, u.ok
+}
+
+// scanUniformLabels is UniformLabels' O(V+E) scan.
+func (g *Graph) scanUniformLabels() (vl, el Label, ok bool) {
 	n := g.NumVertices()
 	if n == 0 {
 		return 0, 0, false

@@ -2,7 +2,9 @@ package graph
 
 import (
 	"math/rand"
+	"path/filepath"
 	"sort"
+	"sync"
 	"testing"
 	"testing/quick"
 )
@@ -416,5 +418,58 @@ func TestUniformLabels(t *testing.T) {
 
 	if _, _, ok := NewBuilder("empty").Build().UniformLabels(); ok {
 		t.Error("empty graph reported uniform")
+	}
+}
+
+// TestUniformLabelsMemoized checks the memoized answer against a fresh scan
+// on built graphs and on their .fgr-loaded twins, with concurrent first
+// callers racing the memo (run under -race to check the publication).
+func TestUniformLabelsMemoized(t *testing.T) {
+	uni := NewBuilder("uni")
+	mixed := NewBuilder("mixed")
+	for i := 0; i < 40; i++ {
+		uni.AddVertex(3)
+		mixed.AddVertex(Label(i % 2))
+	}
+	for i := 0; i < 39; i++ {
+		uni.MustAddEdge(VertexID(i), VertexID(i+1), 7)
+		mixed.MustAddEdge(VertexID(i), VertexID(i+1), 7)
+	}
+	unlabeled := NewBuilder("unlabeled")
+	unlabeled.AddVertex()
+	unlabeled.AddVertex()
+	unlabeled.MustAddEdge(0, 1)
+
+	dir := t.TempDir()
+	var graphs []*Graph
+	for _, b := range []*Builder{uni, mixed, unlabeled, NewBuilder("empty")} {
+		g := b.Build()
+		path := filepath.Join(dir, g.Name()+".fgr")
+		if err := SaveFGR(path, g); err != nil {
+			t.Fatal(err)
+		}
+		lg, err := LoadFGR(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer lg.Close()
+		graphs = append(graphs, g, lg)
+	}
+	for _, g := range graphs {
+		wvl, wel, wok := g.scanUniformLabels()
+		var wg sync.WaitGroup
+		for i := 0; i < 4; i++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for j := 0; j < 3; j++ {
+					if vl, el, ok := g.UniformLabels(); vl != wvl || el != wel || ok != wok {
+						t.Errorf("%s mapped=%v: UniformLabels = (%d,%d,%v), fresh scan (%d,%d,%v)",
+							g.Name(), g.Mapped(), vl, el, ok, wvl, wel, wok)
+					}
+				}
+			}()
+		}
+		wg.Wait()
 	}
 }

@@ -13,7 +13,7 @@ import (
 // neighbor counts c(u,v) (equivalently per-edge triangle counts), and
 // per-vertex triangle counts tri(v) — with inclusion–exclusion correction
 // terms for the collisions the algebra would otherwise overcount. The local
-// counts come from one shared sorted-intersection sweep over the CSR arrays
+// counts come from one shared rank-owned sweep over the CSR arrays
 // (internal/subgraph.LocalCounts); evaluating the polynomial is O(#terms).
 //
 // Decompose is a *rule search*: each rule recognizes one family of patterns
@@ -94,7 +94,7 @@ func (t DecompTerm) Pair() bool {
 }
 
 // NeedsTri reports whether evaluating the term requires common-neighbor
-// counts (the sorted-intersection part of the sweep).
+// counts: c(u,v) for a pair term, tri(v) for a vertex term.
 func (t DecompTerm) NeedsTri() bool {
 	switch t.Kind {
 	case TermBook, TermBull, TermTriTail, TermTriPair:
@@ -152,8 +152,7 @@ type DecompPlan struct {
 	Terms []DecompTerm
 	Cores []*Pattern
 	// NeedTri reports whether any term requires the common-neighbor
-	// (sorted-intersection) half of the sweep; without it the sweep is a
-	// degree pass only.
+	// half of the sweep; without it the sweep is a degree pass only.
 	NeedTri bool
 	// EstCost is the modeled cost of the local-count sweep, in the same
 	// symbolic work units as Plan.EstCost (estimated element visits on the
@@ -163,8 +162,14 @@ type DecompPlan struct {
 
 // Decomposition sweep cost symbols, comparable with Plan.EstCost: a degree
 // pass touches each incidence once (estVertices·estDegree); the
-// common-neighbor sweep merges both adjacency lists of every adjacent pair
-// (estVertices·estDegree/2 pairs × 2·estDegree merge steps).
+// common-neighbor sweep is charged as a merge of both adjacency lists of
+// every adjacent pair (estVertices·estDegree/2 pairs × 2·estDegree merge
+// steps). The kernel is rank-owned (internal/subgraph.LocalCounts): each
+// pair's owner marks its own list once and scans only the lower-ranked
+// endpoint's list, Σ_owners d(owner) + Σ_pairs d(lower) visits, so
+// triPassCost overstates it — most on skewed graphs. The constants are kept
+// as they are so the motifs fleet's engine split stays where it was; a
+// retune is a separately measured change.
 const (
 	degPassCost = float64(estVertices) * float64(estDegree)
 	triPassCost = float64(estVertices) * float64(estDegree) * float64(estDegree)

@@ -1,6 +1,7 @@
 package pattern
 
 import (
+	"math/rand"
 	"strings"
 	"testing"
 )
@@ -433,5 +434,42 @@ func TestDecomposeCoversDocumentedClasses(t *testing.T) {
 			t.Errorf("k=%d: %d of %d classes decomposable, want %d of %d",
 				k, got, len(pats), w[0], w[1])
 		}
+	}
+}
+
+// TestDecompPairTermsSymmetric pins the contract the rank-owned local-count
+// sweep relies on: it presents each adjacent pair once, from whichever
+// endpoint owns it, so every pair term must read (du, dv) symmetrically.
+func TestDecompPairTermsSymmetric(t *testing.T) {
+	rng := rand.New(rand.NewSource(14))
+	checked := 0
+	for k := 1; k <= MaxDecompVertices; k++ {
+		pats, err := ConnectedPatterns(k)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, p := range pats {
+			dp, err := Decompose(p)
+			if err != nil {
+				continue
+			}
+			for _, term := range dp.Terms {
+				if !term.Pair() {
+					continue
+				}
+				checked++
+				for i := 0; i < 200; i++ {
+					du, dv := 1+rng.Int63n(40), 1+rng.Int63n(40)
+					c := rng.Int63n(min(du, dv))
+					if a, b := term.EvalPair(du, dv, c), term.EvalPair(dv, du, c); a != b {
+						t.Fatalf("%v term %s: EvalPair(%d,%d,%d)=%d but EvalPair(%d,%d,%d)=%d",
+							p, term, du, dv, c, a, dv, du, c, b)
+					}
+				}
+			}
+		}
+	}
+	if checked == 0 {
+		t.Fatal("no pair terms emitted for k<=5; the check is vacuous")
 	}
 }

@@ -12,12 +12,20 @@ import (
 // Local-count kernels for the decomposition engine (DESIGN.md §14): one
 // parallel pass over the CSR arrays computes, per vertex, the
 // distinct-neighbor degree d(v) and triangle count tri(v), and, per distinct
-// adjacent pair (u,v), the distinct common-neighbor count c(u,v) — the
-// workhorse being the same sorted-intersection idiom as the extension
-// kernels (intersectAdj), here counting instead of materializing. The
+// adjacent pair (u,v), the distinct common-neighbor count c(u,v). The
 // polynomial terms of a DecompPlan are folded into running sums *during*
 // the sweep, so no per-pair or per-vertex values are ever stored beyond the
-// O(|V|) degree/triangle arrays.
+// O(|V|) degree, triangle and per-core marker arrays.
+//
+// The pair sweep is rank-owned. Rank orders vertices by (d(v), id); each
+// distinct adjacent pair is handled once, by its higher-ranked endpoint u
+// (the owner). The owner stamps its neighbors into a per-core marker array
+// once, then scans each lower-ranked neighbor v's list and counts the
+// stamped entries: c(u,v) costs d(v), not d(u)+d(v). A whole sweep costs
+// Σ_owners d(owner) + Σ_pairs d(lower) element visits instead of the
+// Σ_v d(v)² a two-sided merge of every pair pays on power-law graphs —
+// hubs mark once and are never scanned on behalf of their lower-ranked
+// neighbors.
 //
 // Multigraph correctness: Neighbors(v) contains one entry per incidence, so
 // parallel edges appear as duplicate runs. Every loop below deduplicates
@@ -26,14 +34,23 @@ import (
 // engine's candidate sets enumerate on multigraphs).
 
 // LocalTerms describes one sweep's work: Pair closures are evaluated once
-// per distinct adjacent pair u<v with the endpoints' distinct-neighbor
-// degrees and (when NeedTri) their distinct common-neighbor count; Vertex
-// closures once per vertex with its degree and triangle count. NeedTri
-// forces the sorted-intersection half of the sweep even when no Pair
-// closure is present (Vertex closures reading tri(v) need it).
+// per distinct adjacent pair with the endpoints' distinct-neighbor degrees
+// and (when NeedCommon or NeedTri) their distinct common-neighbor count;
+// Vertex closures once per vertex with its degree and (when NeedTri) its
+// triangle count.
+//
+// Pair closures must be symmetric in (du, dv): the sweep presents each pair
+// from its owner's side, so which endpoint's degree comes first is the
+// kernel's choice, not the caller's.
 type LocalTerms struct {
-	Pair    []func(du, dv, c int64) int64
-	Vertex  []func(d, tri int64) int64
+	Pair   []func(du, dv, c int64) int64
+	Vertex []func(d, tri int64) int64
+	// NeedCommon computes c(u,v) for the Pair closures, without the
+	// per-vertex triangle counts.
+	NeedCommon bool
+	// NeedTri computes c(u,v) and tri(v); it forces the common-neighbor
+	// half of the sweep even when no Pair closure is present (Vertex
+	// closures reading tri(v) need it).
 	NeedTri bool
 }
 
@@ -54,14 +71,17 @@ func LocalCounts(ctx context.Context, g *graph.Graph, t LocalTerms, cores int) (
 	}
 	n := g.NumVertices()
 	arity := len(t.Pair) + len(t.Vertex)
-	needPairs := len(t.Pair) > 0 || t.NeedTri
+	needCommon := t.NeedCommon || t.NeedTri
+	needPairs := len(t.Pair) > 0 || needCommon
 
-	// Phase 0: distinct-neighbor degrees (read by every later phase).
-	sdeg := make([]int64, n)
+	// Phase 0: distinct-neighbor degrees (read by every later phase, and
+	// the first key of the rank that assigns pair owners). A degree fits
+	// int32 because the CSR offsets do.
+	sdeg := make([]int32, n)
 	parallelBlocks(ctx, n, cores, func(lo, hi int) {
 		for v := lo; v < hi; v++ {
 			nb := g.Neighbors(graph.VertexID(v))
-			var d int64
+			var d int32
 			for i := 0; i < len(nb); i++ {
 				if i == 0 || nb[i] != nb[i-1] {
 					d++
@@ -74,15 +94,19 @@ func LocalCounts(ctx context.Context, g *graph.Graph, t LocalTerms, cores int) (
 		return nil, nil, 0, err
 	}
 
-	var tri []int64
+	// tri[v] accumulates c over the pairs containing v, so it ends at
+	// 2·tri(v). Each pair adds to its lower endpoint, which any core may
+	// be sweeping, hence the atomics; the owner's share is added once.
+	var tri []atomic.Int64
+	if t.NeedTri {
+		tri = make([]atomic.Int64, n)
+	}
 	var opsTotal atomic.Int64
 	stores := make([]agg.Store, cores)
 
 	// Phase 1: pair sweep. Each core folds pair terms into its own
-	// Int64Sums and accumulates triangle contributions into a private
-	// array; c(u,v) adds to both endpoints, so tri(v) = Σ/2 after merge.
+	// Int64Sums.
 	if needPairs {
-		triParts := make([][]int64, cores)
 		var next atomic.Int64
 		var wg sync.WaitGroup
 		for c := 0; c < cores; c++ {
@@ -91,10 +115,12 @@ func LocalCounts(ctx context.Context, g *graph.Graph, t LocalTerms, cores int) (
 				defer wg.Done()
 				sums := agg.NewInt64Sums(arity)
 				stores[c] = sums
-				var triAcc []int64
-				if t.NeedTri {
-					triAcc = make([]int64, n)
-					triParts[c] = triAcc
+				// mark[w] == u+1 iff w is a neighbor of owner u. Every
+				// vertex owns its pairs on exactly one core, so stamps never
+				// repeat within a core's marker and it needs no reset.
+				var mark []int32
+				if needCommon {
+					mark = make([]int32, n)
 				}
 				var ops int64
 				for {
@@ -109,27 +135,43 @@ func LocalCounts(ctx context.Context, g *graph.Graph, t LocalTerms, cores int) (
 					for u := lo; u < hi; u++ {
 						nbu := g.Neighbors(graph.VertexID(u))
 						du := sdeg[u]
+						stamp := int32(u) + 1
+						marked := false
+						var triU int64
 						for i := 0; i < len(nbu); i++ {
 							v := nbu[i]
 							if i > 0 && v == nbu[i-1] {
 								continue // parallel edge
 							}
-							if int(v) <= u {
-								continue // unordered pairs once
+							dv := sdeg[v]
+							if dv > du || (dv == du && int(v) > u) {
+								continue // v outranks u and owns the pair
 							}
 							var cc int64
-							if t.NeedTri {
+							if needCommon {
+								if !marked {
+									for _, w := range nbu {
+										mark[w] = stamp
+									}
+									ops += int64(len(nbu))
+									marked = true
+								}
 								nbv := g.Neighbors(v)
-								cc = distinctCommon(nbu, nbv)
-								ops += int64(len(nbu) + len(nbv))
-								triAcc[u] += cc
-								triAcc[v] += cc
+								cc = markedCount(nbv, mark, stamp)
+								ops += int64(len(nbv))
+								if tri != nil && cc != 0 {
+									triU += cc
+									tri[v].Add(cc)
+								}
 							} else {
 								ops++
 							}
 							for k, f := range t.Pair {
-								sums.Sums[k] += f(du, sdeg[v], cc)
+								sums.Sums[k] += f(int64(du), int64(dv), cc)
 							}
+						}
+						if triU != 0 {
+							tri[u].Add(triU)
 						}
 					}
 				}
@@ -139,17 +181,6 @@ func LocalCounts(ctx context.Context, g *graph.Graph, t LocalTerms, cores int) (
 		wg.Wait()
 		if err = ctx.Err(); err != nil {
 			return nil, nil, 0, err
-		}
-		if t.NeedTri {
-			tri = triParts[0]
-			parallelBlocks(ctx, n, cores, func(lo, hi int) {
-				for v := lo; v < hi; v++ {
-					for c := 1; c < cores; c++ {
-						tri[v] += triParts[c][v]
-					}
-					tri[v] /= 2
-				}
-			})
 		}
 	}
 
@@ -179,10 +210,10 @@ func LocalCounts(ctx context.Context, g *graph.Graph, t LocalTerms, cores int) (
 					for v := lo; v < hi; v++ {
 						var tv int64
 						if tri != nil {
-							tv = tri[v]
+							tv = tri[v].Load() / 2
 						}
 						for k, f := range t.Vertex {
-							sums.Sums[len(t.Pair)+k] += f(sdeg[v], tv)
+							sums.Sums[len(t.Pair)+k] += f(int64(sdeg[v]), tv)
 						}
 					}
 					ops += int64(hi - lo)
@@ -210,25 +241,14 @@ func LocalCounts(ctx context.Context, g *graph.Graph, t LocalTerms, cores int) (
 	return total[:len(t.Pair)], total[len(t.Pair):], opsTotal.Load(), nil
 }
 
-// distinctCommon counts the distinct values present in both sorted
-// multisets (the neighbor lists of two adjacent vertices; the shared values
-// are their common neighbors, each counted once regardless of parallel
-// edges).
-func distinctCommon(a, b []graph.VertexID) int64 {
+// markedCount counts the distinct values of the sorted multiset nb (a
+// lower-ranked neighbor's list) that carry the owner's stamp: the pair's
+// common neighbors, each counted once regardless of parallel edges.
+func markedCount(nb []graph.VertexID, mark []int32, stamp int32) int64 {
 	var c int64
-	i, j := 0, 0
-	for i < len(a) && j < len(b) {
-		switch av, bv := a[i], b[j]; {
-		case av < bv:
-			i++
-		case av > bv:
-			j++
-		default:
+	for i, w := range nb {
+		if mark[w] == stamp && (i == 0 || w != nb[i-1]) {
 			c++
-			for i++; i < len(a) && a[i] == av; i++ {
-			}
-			for j++; j < len(b) && b[j] == bv; j++ {
-			}
 		}
 	}
 	return c

@@ -2,9 +2,14 @@ package subgraph
 
 import (
 	"context"
+	"errors"
+	"math/rand"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"fractal/internal/graph"
+	"fractal/internal/pattern"
 	"fractal/internal/workload"
 )
 
@@ -62,7 +67,83 @@ func localTestGraphs() []*graph.Graph {
 		workload.ErdosRenyi("lc-er", 60, 220, 1, 41),
 		workload.BarabasiAlbert("lc-ba", 80, 4, 1, 42),
 		oracleMultigraph("lc-multi", 40, 160, 1, 43),
+		// Every degree ties: the vertex-id half of the rank alone decides
+		// which endpoint owns each pair.
+		cliqueGraph("lc-clique", 9),
+		ringLattice("lc-ring", 30, 3),
+		hubMultigraph("lc-hub", 50, 46),
 	}
+}
+
+// cliqueGraph is K_n: every pair adjacent, every degree n-1.
+func cliqueGraph(name string, n int) *graph.Graph {
+	b := graph.NewBuilder(name)
+	for i := 0; i < n; i++ {
+		b.AddVertex()
+	}
+	for u := 0; u < n; u++ {
+		for v := u + 1; v < n; v++ {
+			b.MustAddEdge(graph.VertexID(u), graph.VertexID(v))
+		}
+	}
+	return b.Build()
+}
+
+// ringLattice joins each of n ring vertices to its r nearest successors:
+// every degree is 2r and every adjacent pair has common neighbors.
+func ringLattice(name string, n, r int) *graph.Graph {
+	b := graph.NewBuilder(name)
+	for i := 0; i < n; i++ {
+		b.AddVertex()
+	}
+	for u := 0; u < n; u++ {
+		for j := 1; j <= r; j++ {
+			b.MustAddEdge(graph.VertexID(u), graph.VertexID((u+j)%n))
+		}
+	}
+	return b.Build()
+}
+
+// hubMultigraph is a hub (vertex 0) joined to every spoke, the spokes
+// chained into a path, with one to three parallel edges per hub incidence:
+// the hub owns every pair it is in and its raw list is far longer than
+// its distinct degree.
+func hubMultigraph(name string, n int, seed int64) *graph.Graph {
+	rng := rand.New(rand.NewSource(seed))
+	b := graph.NewBuilder(name)
+	for i := 0; i < n; i++ {
+		b.AddVertex()
+	}
+	for v := 1; v < n; v++ {
+		for k := rng.Intn(3); k >= 0; k-- {
+			b.MustAddEdge(0, graph.VertexID(v))
+		}
+		if v+1 < n {
+			b.MustAddEdge(graph.VertexID(v), graph.VertexID(v+1))
+		}
+	}
+	return b.Build()
+}
+
+// bruteRankOps is the element-visit count the rank-owned sweep must
+// report: each owner with at least one lower-ranked neighbor marks its raw
+// list once, and each owned pair scans the lower endpoint's raw list.
+func bruteRankOps(g *graph.Graph, sdeg []int64, pairs [][3]int64) int64 {
+	lower := func(v, u int64) bool { return sdeg[v] < sdeg[u] || (sdeg[v] == sdeg[u] && v < u) }
+	marked := map[int64]bool{}
+	var ops int64
+	for _, p := range pairs {
+		owner, low := p[0], p[1]
+		if lower(owner, low) {
+			owner, low = low, owner
+		}
+		if !marked[owner] {
+			marked[owner] = true
+			ops += int64(len(g.Neighbors(graph.VertexID(owner))))
+		}
+		ops += int64(len(g.Neighbors(graph.VertexID(low))))
+	}
+	return ops
 }
 
 func TestLocalCountsOracle(t *testing.T) {
@@ -93,7 +174,7 @@ func TestLocalCountsOracle(t *testing.T) {
 			},
 			NeedTri: true,
 		}
-		for _, cores := range []int{1, 3, 8} {
+		for _, cores := range []int{1, 2, 3, 8} {
 			pairSums, vertexSums, ops, err := LocalCounts(context.Background(), g, terms, cores)
 			if err != nil {
 				t.Fatalf("%s cores=%d: %v", g.Name(), cores, err)
@@ -173,4 +254,129 @@ func TestLocalCountsEmptyGraph(t *testing.T) {
 	if pairSums[0] != 0 || vertexSums[0] != 0 {
 		t.Errorf("empty graph sums: %v %v", pairSums, vertexSums)
 	}
+}
+
+// TestLocalCountsNeedCommon checks the pair-only mode: c(u,v) reaches the
+// Pair closures without the per-vertex triangle arrays (Vertex closures
+// see tri=0), the pair sums match NeedTri's, and both modes pay exactly
+// the rank-owned element visits.
+func TestLocalCountsNeedCommon(t *testing.T) {
+	for _, g := range localTestGraphs() {
+		sdeg, pairs, tri := bruteLocals(g)
+		var wantWedges, wantTriBase, wantTriSum int64
+		for _, p := range pairs {
+			wantWedges += (sdeg[p[0]] - 1) * (sdeg[p[1]] - 1)
+			wantTriBase += p[2]
+		}
+		for v := range tri {
+			wantTriSum += tri[v]
+		}
+		wantOps := bruteRankOps(g, sdeg, pairs) + int64(g.NumVertices())
+		for _, needTri := range []bool{false, true} {
+			terms := LocalTerms{
+				Pair: []func(du, dv, c int64) int64{
+					func(du, dv, c int64) int64 { return (du - 1) * (dv - 1) },
+					func(du, dv, c int64) int64 { return c },
+				},
+				Vertex:     []func(d, tri int64) int64{func(d, tri int64) int64 { return tri }},
+				NeedCommon: true,
+				NeedTri:    needTri,
+			}
+			want := wantTriSum
+			if !needTri {
+				want = 0
+			}
+			for _, cores := range []int{1, 2, 3, 8} {
+				pairSums, vertexSums, ops, err := LocalCounts(context.Background(), g, terms, cores)
+				if err != nil {
+					t.Fatalf("%s NeedTri=%v cores=%d: %v", g.Name(), needTri, cores, err)
+				}
+				if pairSums[0] != wantWedges || pairSums[1] != wantTriBase || vertexSums[0] != want {
+					t.Errorf("%s NeedTri=%v cores=%d: got %v %v, want [%d %d] [%d]",
+						g.Name(), needTri, cores, pairSums, vertexSums, wantWedges, wantTriBase, want)
+				}
+				if ops != wantOps {
+					t.Errorf("%s NeedTri=%v cores=%d: ops=%d, want %d (rank-owned visits + vertex pass)",
+						g.Name(), needTri, cores, ops, wantOps)
+				}
+			}
+		}
+	}
+}
+
+// TestLocalCountsCancelMidSweep cancels from inside a Pair closure after a
+// fixed number of pairs: the sweep must stop between blocks and report the
+// cancellation instead of a partial sum.
+func TestLocalCountsCancelMidSweep(t *testing.T) {
+	g := workload.BarabasiAlbert("lc-midcancel", 4000, 6, 1, 46)
+	for _, cores := range []int{1, 2, 3, 8} {
+		ctx, cancel := context.WithCancel(context.Background())
+		var calls atomic.Int64
+		terms := LocalTerms{
+			Pair: []func(du, dv, c int64) int64{func(du, dv, c int64) int64 {
+				if calls.Add(1) == 100 {
+					cancel()
+				}
+				return c
+			}},
+			NeedCommon: true,
+		}
+		done := make(chan error, 1)
+		go func() {
+			_, _, _, err := LocalCounts(ctx, g, terms, cores)
+			done <- err
+		}()
+		select {
+		case err := <-done:
+			if !errors.Is(err, context.Canceled) {
+				t.Errorf("cores=%d: err=%v, want context.Canceled", cores, err)
+			}
+		case <-time.After(30 * time.Second):
+			t.Fatalf("cores=%d: sweep did not return after mid-sweep cancel", cores)
+		}
+		// Cancellation is honoured between blocks: each core finishes at
+		// most the block it holds, far short of the graph's ~24k pairs.
+		if n := calls.Load(); n >= int64(g.NumEdges()) {
+			t.Errorf("cores=%d: %d pair calls after cancel at 100, want the sweep cut short", cores, n)
+		}
+		cancel()
+	}
+}
+
+// BenchmarkLocalCounts times the sweep the k=3 motifs fleet runs (wedge and
+// triangle terms: pair terms read c(u,v), no vertex term reads tri(v)) on
+// a skewed BA graph with 2 cores (make bench-decomp). ops/op reports the
+// element visits, the sweep's deterministic cost.
+func BenchmarkLocalCounts(b *testing.B) {
+	g := workload.BarabasiAlbert("lc-bench", 20000, 8, 1, 47)
+	pats, err := pattern.ConnectedPatterns(3)
+	if err != nil {
+		b.Fatal(err)
+	}
+	var terms LocalTerms
+	for _, p := range pats {
+		dp, err := pattern.Decompose(p)
+		if err != nil {
+			b.Fatal(err)
+		}
+		for _, term := range dp.Terms {
+			switch {
+			case term.Pair():
+				terms.Pair = append(terms.Pair, term.EvalPair)
+				terms.NeedCommon = terms.NeedCommon || term.NeedsTri()
+			default:
+				terms.Vertex = append(terms.Vertex, term.EvalVertex)
+				terms.NeedTri = terms.NeedTri || term.NeedsTri()
+			}
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	var ops int64
+	for i := 0; i < b.N; i++ {
+		if _, _, ops, err = LocalCounts(context.Background(), g, terms, 2); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(ops), "ops/op")
 }
